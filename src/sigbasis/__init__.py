@@ -31,7 +31,14 @@ from .engine import (
     run,
     validate_sigtree,
 )
-from .errors import ContractError, LimitExceeded, ParseError, SigbasisError, StructureError
+from .errors import (
+    CertificateError,
+    ContractError,
+    LimitExceeded,
+    ParseError,
+    SigbasisError,
+    StructureError,
+)
 from .monomials import (
     Monomial,
     MonoidSpec,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 from .errors import ContractError, StructureError
 from .monomials import Monomial, ModuleOrder, MonoidSpec, ZERO, identity
@@ -253,10 +254,16 @@ class Element:
             raise ContractError("cannot multiply by the zero monomial")
         if a.degree == 0:
             return self
+        if a.indices:
+            raise StructureError("multiplier must be a nonzero index-free monomial")
+        exps = a.exps
+        if len(exps) != self.ctx.width:
+            raise StructureError("multiplier width mismatch")
+        # the terms share the context's width, so one check covers every product
         key = self.ctx.order.key
         out = []
         for _, m, c in self.terms:
-            prod = m.mul(a)
+            prod = Monomial(tuple(map(add, exps, m.exps)), m.indices)
             out.append((key(prod), prod, c))
         return Element(self.ctx, tuple(out))
 

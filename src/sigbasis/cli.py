@@ -36,7 +36,13 @@ from .engine import (
     tree_signature_consistent,
     validate_sigtree,
 )
-from .errors import LimitExceeded, ParseError, SigbasisError, StructureError
+from .errors import (
+    CertificateError,
+    LimitExceeded,
+    ParseError,
+    SigbasisError,
+    StructureError,
+)
 from .monomials import ModuleOrder, MonoidSpec, ScalarOrder
 from .sigcore import (
     dominated_members,
@@ -128,6 +134,22 @@ def _parse_monoid_setting(setting: str, variables) -> MonoidSpec:
     raise ParseError(f"monoid setting needs degmin= or generated=: {setting!r}")
 
 
+def _parse_field(text: str) -> str:
+    """Canonical field spec, ``q`` or ``gf:P``, from ``Q``, ``GF 32003`` or ``gf:32003``.
+
+    Primality of P is checked when the field is built.
+    """
+    text = text.lower()
+    if text == "q":
+        return "q"
+    if text.startswith("gf"):
+        digits = text.replace("gf", "", 1).strip(" :")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ParseError(f"malformed field {text!r}")
+        return f"gf:{digits}"
+    raise ParseError(f"unknown field {text!r}")
+
+
 def parse_problem(text: str) -> ProblemSpec:
     """Parse and canonicalize a problem file."""
     header = {}
@@ -172,16 +194,7 @@ def parse_problem(text: str) -> ProblemSpec:
     order = take("order", "degrevlex")
     if order not in ("degrevlex", "lex"):
         raise ParseError(f"unknown order {order!r}")
-    field_text = take("field", "q")
-    if field_text == "q":
-        fld = "q"
-    elif field_text.startswith("gf"):
-        digits = field_text.replace("gf", "", 1).strip(" :")
-        if not digits.isdigit():
-            raise ParseError(f"malformed field {field_text!r}")
-        fld = f"gf:{digits}"
-    else:
-        raise ParseError(f"unknown field {field_text!r}")
+    fld = _parse_field(take("field", "q"))
     setting = take("setting", "ring")
     if setting.split()[0] not in ("ring", "module", "monoid"):
         raise ParseError(f"unknown setting {setting!r}")
@@ -337,8 +350,7 @@ def _load_problem(args) -> ProblemSpec:
     if args.sig_init:
         overrides["sig_init"] = args.sig_init
     if args.field:
-        fld = args.field.lower()
-        overrides["field"] = "q" if fld == "q" else f"gf:{fld.split(':')[1]}"
+        overrides["field"] = _parse_field(args.field)
     return replace(spec, **overrides) if overrides else spec
 
 
@@ -351,7 +363,7 @@ def main(argv=None) -> int:
             print(f"limit exceeded: {exc}", file=sys.stderr)
             return 3
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, CertificateError) else 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .algebra import normal_form_with_steps
 from .critical import CriticalQueue, critical_set, queue_update
-from .errors import ContractError, LimitExceeded, SigbasisError
+from .errors import CertificateError, ContractError, LimitExceeded, SigbasisError
 from .monomials import Monomial, divide
 from .sigcore import (
     SigPair,
@@ -250,19 +250,27 @@ class _TraceWriter:
 def _check_invariant(G: SigSet, Q: CriticalQueue, pruned: bool, cache: dict):
     spec = G.monoid
     pending = Q.snapshot()
-    # the critical set only changes when G grows
+    # the critical set and rewrite_basis_at only change when the
+    # append-only G grows, so both are cached per size of G
     if cache.get("size") != len(G.members):
         cache["size"] = len(G.members)
         cache["critical"] = critical_set(G)
+        cache["rewrite_ok"] = set()
+    rewrite_ok = cache["rewrite_ok"]
     for sigma in cache["critical"]:
+        if sigma in rewrite_ok:
+            continue
         if pruned:
             covered = any(divide(tau, sigma, spec) is not None for tau in pending)
         else:
             covered = sigma in Q
-        if not covered and not rewrite_basis_at(G, sigma):
+        if covered:
+            continue
+        if not rewrite_basis_at(G, sigma):
             raise SigbasisError(
                 f"queue invariant violated at {sigma!r} ({'pruned' if pruned else 'plain'} mode)"
             )
+        rewrite_ok.add(sigma)
 
 
 def run(
@@ -416,7 +424,7 @@ def run(
 
     certificate = faugere_certificate(G)
     if not certificate.ok:
-        raise SigbasisError(
+        raise CertificateError(
             f"completed run failed its own certificate at {certificate.failures!r}"
         )
     G.certified = True

@@ -13,6 +13,10 @@ class ContractError(SigbasisError):
     """An operation was called outside its stated precondition."""
 
 
+class CertificateError(SigbasisError):
+    """A completed run failed its own rewrite-basis certificate."""
+
+
 class ParseError(SigbasisError):
     """Malformed input text; carries a 1-based line/column position."""
 

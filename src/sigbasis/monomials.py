@@ -16,6 +16,7 @@ monoid member.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, neg, sub
 
 from .errors import ContractError, StructureError
 
@@ -43,9 +44,9 @@ class Monomial:
     is_zero: bool = False
 
     def __post_init__(self):
-        if not self.is_zero and any(e < 0 for e in self.exps):
+        if not self.is_zero and min(self.exps, default=0) < 0:
             raise StructureError(f"negative exponent in {self.exps}")
-        if any(i < 1 for i in self.indices):
+        if min(self.indices, default=1) < 1:
             raise StructureError(f"module indices must be >= 1, got {self.indices}")
 
     @property
@@ -65,7 +66,7 @@ class Monomial:
             raise StructureError("multiplier must be a nonzero index-free monomial")
         if len(a.exps) != len(self.exps):
             raise StructureError("multiplier width mismatch")
-        return Monomial(tuple(x + y for x, y in zip(a.exps, self.exps)), self.indices)
+        return Monomial(tuple(map(add, a.exps, self.exps)), self.indices)
 
     def with_slot(self, i: int) -> "Monomial":
         """Append a module position (used to form signature monomials)."""
@@ -122,13 +123,16 @@ class ScalarOrder:
             return _KEY_ZERO
         if m.indices:
             raise StructureError("scalar order applied to an indexed monomial")
-        if len(m.exps) != self.width:
+        return self._exps_key(m.exps)
+
+    def _exps_key(self, exps):
+        if len(exps) != len(self.variables):
             raise StructureError(
-                f"monomial width {len(m.exps)} does not match {self.width} variables"
+                f"monomial width {len(exps)} does not match {self.width} variables"
             )
         if self.kind == "degrevlex":
-            return (1, sum(m.exps), tuple(-e for e in m.exps))
-        return (1, tuple(reversed(m.exps)))
+            return (1, sum(exps), tuple(map(neg, exps)))
+        return (1, tuple(reversed(exps)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,10 +165,13 @@ class ModuleOrder:
         i = m.indices[-1]
         if not 1 <= i <= self.rank:
             raise StructureError(f"module position {i} outside 1..{self.rank}")
-        inner = Monomial(m.exps, m.indices[:-1])
+        if len(m.indices) == 1 and isinstance(self.base, ScalarOrder):
+            inner = self.base._exps_key(m.exps)
+        else:
+            inner = self.base.key(Monomial(m.exps, m.indices[:-1]))
         if self.kind == "pot":
-            return (1, i, self.base.key(inner))
-        return (1, self.base.key(inner), i)
+            return (1, i, inner)
+        return (1, inner, i)
 
 
 def compare(m: Monomial, n: Monomial, order) -> int:
@@ -339,10 +346,10 @@ def divide(m: Monomial, n: Monomial, spec: MonoidSpec):
         return None
     if len(m.exps) != len(n.exps):
         raise StructureError("width mismatch in divide")
-    diff = tuple(x - y for x, y in zip(n.exps, m.exps))
-    if any(e < 0 for e in diff):
+    diff = tuple(map(sub, n.exps, m.exps))
+    if min(diff, default=0) < 0:
         return None
-    if not spec.member(diff):
+    if spec.kind != "full" and not spec.member(diff):
         return None
     return Monomial(diff)
 

@@ -57,6 +57,8 @@ class SigSet:
         self.origin = origin
         self.certified = False
         self._ids = set()
+        # (support mask of the part's lm, member) for every nonzero part
+        self._reducers: list[tuple[int, SigPair]] = []
         for m in members:
             self.add(m)
 
@@ -69,6 +71,8 @@ class SigSet:
             raise StructureError(f"duplicate sigpair id {sp.id}")
         self._ids.add(sp.id)
         self.members.append(sp)
+        if sp.part.terms:
+            self._reducers.append((_support_mask(sp.part.lm.exps), sp))
 
     def member_by_id(self, i: int) -> SigPair:
         for sp in self.members:
@@ -180,6 +184,15 @@ def _empty_sigset(sig_kind: str) -> SigSet:
     return SigSet(ctx, ModuleOrder(ctx.order, sig_kind, 1), (), origin="empty")
 
 
+def _support_mask(exps) -> int:
+    """Bit i set iff variable i occurs: a divisor's mask lies inside its multiple's."""
+    mask = 0
+    for i, e in enumerate(exps):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
 def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, _sigma_key=None):
     """Smallest-signature reducer admissible strictly below ``sigma``.
 
@@ -192,12 +205,12 @@ def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, _sigma
     spec = G.monoid
     skey = G.sig_order.key
     sigma_key = _sigma_key if _sigma_key is not None else skey(sigma)
+    target_mask = _support_mask(target_lm.exps)
     best = None
-    for g in G.members:
-        part = g.part
-        if not part.terms:
+    for mask, g in G._reducers:
+        if mask & ~target_mask:
             continue
-        b = divide(part.lm, target_lm, spec)
+        b = divide(g.part.lm, target_lm, spec)
         if b is None:
             continue
         cand_key = (skey(g.sig.mul(b)), g.id)

@@ -145,6 +145,27 @@ class TestMainExitCodes:
             main(["run", "--builtin", "mora", "--max-insertions", "1"]) == 3
         )
 
+    @pytest.mark.parametrize(
+        "field, code",
+        [("q", 0), ("gf:32003", 0), ("gf", 1), ("gf:abc", 1), ("gf:4", 1), ("foo", 1),
+         ("gf:\u00b2", 1)],
+    )
+    def test_field_flag(self, field, code, capsys):
+        assert main(["run", "--builtin", "mora", "--field", field]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_certificate_failure_exit_2(self, monkeypatch, capsys):
+        from sigbasis import engine
+
+        monkeypatch.setattr(
+            engine, "faugere_certificate", lambda G: engine.CertificateReport(False, ["forced"])
+        )
+        assert main(["run", "--builtin", "mora"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: completed run failed its own certificate")
+
     def test_verify_deep(self, capsys):
         code = main(
             ["run", "--builtin", "mora", "--verify", "--verify-deep", "8"]

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from conftest import elem, mono
-from sigbasis.algebra import Element
+from sigbasis.algebra import Context, Element, PrimeField
 from sigbasis.engine import Strategy, run
 from sigbasis.errors import ContractError, StructureError
-from sigbasis.monomials import Monomial, ModuleOrder, divide
+from sigbasis.monomials import Monomial, ModuleOrder, MonoidSpec, ScalarOrder, divide
 from sigbasis.sigcore import (
     SigPair,
     SigSet,
@@ -25,7 +25,7 @@ from sigbasis.sigcore import (
     syzygy_signatures,
 )
 from sigbasis.systems import katsura
-from sigbasis.textio import render_sigpair
+from sigbasis.textio import parse_element, render_element, render_sigpair
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +228,110 @@ class TestRegularReduction:
         via_g2 = regular_normal_form(multiply(mono(mora_ctx, 1, 2), g2), stage)
         assert via_g4.part.lm == via_g2.part.lm == mono(mora_ctx, 4, 0)
         assert via_g4.part == via_g2.part == elem(mora_ctx, "y^4 - x^2")
+
+
+def _naive_reducer(target_lm, sigma, G):
+    """Reference scan for find_regular_reducer: divide against every member."""
+    spec, skey = G.monoid, G.sig_order.key
+    best = None
+    for g in G.members:
+        if g.part.is_zero:
+            continue
+        b = divide(g.part.lm, target_lm, spec)
+        if b is None:
+            continue
+        cand = (skey(g.sig.mul(b)), g.id)
+        if cand[0] >= skey(sigma):
+            continue
+        if best is None or cand < best[0]:
+            best = (cand, g, b)
+    return None if best is None else (best[1], best[2])
+
+
+def _katsura4_basis(monoid, strategy):
+    ctx, gens = katsura(4, PrimeField(32003))
+    ctx = Context(ctx.variables, ctx.order, monoid, ctx.field)
+    gens = [parse_element(render_element(g), ctx) for g in gens]
+    return run(make_prebasis_shifted(gens, "top"), strategy).basis
+
+
+def _module_basis():
+    order = ModuleOrder(ScalarOrder("degrevlex", ("y", "x")), "pot", 2)
+    ctx = Context(("y", "x"), order, MonoidSpec.full(), PrimeField(32003))
+    gens = [
+        parse_element(text, ctx)
+        for text in ("x*e_2 + y*e_1", "y*e_2 - x*e_1", "x^2*e_1 - y^3*e_2")
+    ]
+    return run(make_prebasis_shifted(gens, "top"), Strategy.in_order()).basis
+
+
+_QUADRATICS = [
+    tuple(int(i == j) + int(i == k) for i in range(4))
+    for j in range(4)
+    for k in range(j, 4)
+]
+
+
+class TestMaskedReducerLookup:
+    """find_regular_reducer skips members by support mask; it must choose
+    exactly what a plain divide over every member chooses."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: _katsura4_basis(MonoidSpec.full(), Strategy.f5()),
+            lambda: _katsura4_basis(MonoidSpec.degree_truncated(2), Strategy.f5()),
+            lambda: _katsura4_basis(MonoidSpec.generated(_QUADRATICS), Strategy.min_lm()),
+            _module_basis,
+        ],
+        ids=["full", "degree_truncated", "generated", "module"],
+    )
+    def test_matches_naive_scan(self, build):
+        G = build()
+        rng = random.Random(2012)
+        width = G.ctx.width
+        parts = [g for g in G.members if not g.part.is_zero]
+        hits = 0
+        for _ in range(400):
+            lm = rng.choice(parts).part.lm
+            if rng.random() < 0.5:
+                target = lm.mul(Monomial(tuple(rng.randrange(3) for _ in range(width))))
+            else:
+                target = Monomial(tuple(rng.randrange(4) for _ in range(width)), lm.indices)
+            a = Monomial(tuple(rng.randrange(4) for _ in range(width)))
+            sigma = rng.choice(G.members).sig.mul(a)
+            expected = _naive_reducer(target, sigma, G)
+            assert find_regular_reducer(target, sigma, G) == expected
+            hits += expected is not None
+        assert 0 < hits < 400
+
+
+class TestMonomialChecks:
+    def test_constructor_rejects_negative_exponent(self):
+        with pytest.raises(StructureError):
+            Monomial((1, -1))
+
+    def test_constructor_rejects_index_below_one(self):
+        with pytest.raises(StructureError):
+            Monomial((1, 0), (0,))
+        with pytest.raises(StructureError):
+            Monomial((1, 0)).with_slot(0)
+
+    def test_monomial_mul_width_mismatch(self):
+        with pytest.raises(StructureError):
+            Monomial((1, 0)).mul(Monomial((1, 0, 0)))
+
+    def test_mul_monomial_width_mismatch(self, mora_ctx):
+        f = elem(mora_ctx, "x^2*y^2 - 1")
+        with pytest.raises(StructureError):
+            f.mul_monomial(Monomial((1, 0, 0)))
+        with pytest.raises(StructureError):
+            f.mul_monomial(Monomial((1,)))
+
+    def test_mul_monomial_rejects_indexed_multiplier(self, mora_ctx):
+        f = elem(mora_ctx, "x^2*y^2 - 1")
+        with pytest.raises(StructureError):
+            f.mul_monomial(Monomial((1, 0)).with_slot(1))
 
 
 class TestDomination:
