@@ -3,7 +3,7 @@
 Library layout: ``monomials`` (orders, monoid action, common multiples),
 ``algebra`` (exact fields, sparse elements, bounded span oracles),
 ``sigcore`` (sigpairs, prebases, regular reduction), ``critical`` (critical
-signatures and the pending queue), ``engine`` (the strategy loops, sigtrees,
+signatures and the pending queue), ``engine`` (the strategy loop, sigtrees,
 certificate, exports), ``verify`` (Buchberger oracle and bounded checks),
 ``systems`` (builtin benchmarks), ``cli`` (problem files and flags).
 """
@@ -14,9 +14,7 @@ from .algebra import (
     PrimeField,
     RationalField,
     bounded_span_pivots,
-    lm,
     membership_bounded,
-    normal_form,
     top_reduce_step,
 )
 from .critical import CriticalQueue, critical_pair_signatures, critical_set, queue_update
@@ -45,7 +43,6 @@ from .monomials import (
     ModuleOrder,
     ScalarOrder,
     ZERO,
-    compare,
     divide,
     minimal_common_multiples,
     monoid_member,
@@ -60,7 +57,6 @@ from .sigcore import (
     make_prebasis_sum,
     make_prebasis_unshifted,
     multiply,
-    regular_normal_form,
     syzygy_signatures,
 )
 from .verify import (

@@ -19,7 +19,7 @@ from .monomials import Monomial, ModuleOrder, MonoidSpec, ZERO, identity
 
 try:
     from gmpy2 import mpq as _ratio
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional ``fast`` extra
     _ratio = Fraction
 
 __all__ = [
@@ -27,9 +27,7 @@ __all__ = [
     "PrimeField",
     "Context",
     "Element",
-    "lm",
     "top_reduce_step",
-    "normal_form",
     "normal_form_with_steps",
     "SpanEchelon",
     "bounded_span_pivots",
@@ -321,11 +319,6 @@ class Element:
         return "Element(" + " + ".join(parts) + ")"
 
 
-def lm(f: Element) -> Monomial:
-    """Leading monomial; the zero monomial for the zero element."""
-    return f.lm
-
-
 def top_reduce_step(f: Element, e: Element) -> Element:
     """Cancel the leading monomial of f using a reducer with the same lm."""
     if f.is_zero or e.is_zero or f.lm != e.lm:
@@ -349,10 +342,6 @@ def normal_form_with_steps(f: Element, admit) -> tuple[Element, int]:
         f = top_reduce_step(f, e)
         steps += 1
     return f, steps
-
-
-def normal_form(f: Element, admit) -> Element:
-    return normal_form_with_steps(f, admit)[0]
 
 
 class SpanEchelon:

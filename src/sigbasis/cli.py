@@ -21,6 +21,7 @@ failure, 3 limit breach.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -99,7 +100,7 @@ class ProblemSpec:
         order = scalar
         if self.setting.startswith("module"):
             opts = _setting_options(self.setting)
-            order = ModuleOrder(scalar, opts.get("order", "pot"), int(opts["rank"]))
+            order = ModuleOrder(scalar, opts.get("order", "pot"), _int_option(opts, "rank"))
         elif self.setting.startswith("monoid"):
             monoid = _parse_monoid_setting(self.setting, self.variables)
         return Context(self.variables, order, monoid, fld)
@@ -118,13 +119,20 @@ def _setting_options(setting: str) -> dict:
     return out
 
 
+def _int_option(opts: dict, key: str) -> int:
+    text = opts.get(key)
+    if text is None or not (text.isascii() and text.isdigit()):
+        raise ParseError(f"setting needs {key}= with a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_monoid_setting(setting: str, variables) -> MonoidSpec:
     opts = _setting_options(setting)
     if "degmin" in opts:
         exclusions = []
         for text in filter(None, opts.get("exclude", "").split(",")):
             exclusions.append(parse_monomial(text, variables).exps)
-        return MonoidSpec.degree_truncated(int(opts["degmin"]), exclusions)
+        return MonoidSpec.degree_truncated(_int_option(opts, "degmin"), exclusions)
     if "generated" in opts:
         gens = [
             parse_monomial(text, variables).exps
@@ -384,19 +392,25 @@ def _run_command(args) -> int:
         strategy = _STRATEGY_FLAGS[args.strategy]()
     limits = Limits(args.max_insertions, args.max_seconds)
 
-    trace_rows = [] if args.emit_trace else None
-    sink = trace_rows.append if trace_rows is not None else None
-    try:
-        result = run(
-            prebasis,
-            strategy,
-            limits,
-            trace=sink,
-            debug_invariant_stride=args.debug_invariants,
-        )
-    except LimitExceeded as exc:
-        print(f"limit exceeded: {exc}", file=sys.stderr)
-        return 3
+    with contextlib.ExitStack() as stack:
+        sink = None
+        if args.emit_trace:
+            trace_file = stack.enter_context(open(args.emit_trace, "w", encoding="utf-8"))
+
+            def sink(row):
+                trace_file.write(json.dumps(row, sort_keys=True) + "\n")
+
+        try:
+            result = run(
+                prebasis,
+                strategy,
+                limits,
+                trace=sink,
+                debug_invariant_stride=args.debug_invariants,
+            )
+        except LimitExceeded as exc:
+            print(f"limit exceeded: {exc}", file=sys.stderr)
+            return 3
 
     variables = ctx.variables
     print(
@@ -438,10 +452,6 @@ def _run_command(args) -> int:
         highlight = frozenset(oracle_lms) if oracle_lms else frozenset()
         with open(args.emit_dot, "w", encoding="utf-8") as fh:
             fh.write(export_dot(result, highlight))
-    if args.emit_trace:
-        with open(args.emit_trace, "w", encoding="utf-8") as fh:
-            for row in trace_rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
     if args.emit_json:
         payload = _result_json(result, spec, variables)
         payload["config"]["strategy"] = args.strategy

@@ -24,7 +24,6 @@ __all__ = [
     "critical_set",
     "CriticalQueue",
     "queue_update",
-    "pop",
 ]
 
 
@@ -100,9 +99,6 @@ class CriticalQueue:
 
     def snapshot(self):
         return list(self._sigs)
-
-    def source_of(self, sigma: Monomial):
-        return self._sources.get(sigma)
 
     def _emit(self, event, sigma):
         if self.trace is not None:
@@ -189,13 +185,3 @@ def queue_update(Q: CriticalQueue, g: SigPair, G: SigSet):
     if Q.pruned_mode:
         Q.prune()
     return Q
-
-
-def pop(Q: CriticalQueue, policy):
-    """Pop per policy: 'min', 'any_deterministic' (resolved to min), or
-    ('batch', k) for the k smallest.  Returns (selected tuple, queue)."""
-    if isinstance(policy, tuple) and policy[0] == "batch":
-        return tuple(Q.pop_batch(policy[1])), Q
-    if policy in ("min", "any_deterministic"):
-        return (Q.pop_min(),), Q
-    raise ContractError(f"unknown pop policy {policy!r}")

@@ -1,9 +1,11 @@
-"""Rewrite-basis main loops, sigtrees, the combinatorial certificate, exports.
+"""Rewrite-basis main loop, sigtrees, the combinatorial certificate, exports.
 
-One queue-driven skeleton realizes every strategy: signatures are popped from
-the pending queue (smallest first, or a batch), a reductant is selected per
-strategy, regular-reduced, and the result inserted with provenance recorded
-in a forest of reduction ancestry (the sigtree).  Termination rests on the
+One loop body realizes every strategy.  Each iteration pops a batch of the
+smallest pending signatures (one signature, or k for ``f4``), selects a
+reductant for each per the strategy's selector and skips those with nothing
+to reduce, regular-reduces the rest in ascending order against the basis and
+the batch's earlier results, and inserts them with provenance recorded in a
+forest of reduction ancestry (the sigtree).  Termination rests on the
 well-formedness of that forest; the invariant can be asserted at loop heads
 in debug runs.
 """
@@ -14,7 +16,6 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .algebra import normal_form_with_steps
 from .critical import CriticalQueue, critical_set, queue_update
 from .errors import CertificateError, ContractError, LimitExceeded, SigbasisError
 from .monomials import Monomial, divide
@@ -58,6 +59,8 @@ class Strategy:
             raise ContractError(f"unknown strategy {self.kind!r}")
         if self.batch_size < 1:
             raise ContractError("batch size must be >= 1")
+        if self.batch_size > 1 and self.kind != "f4":
+            raise ContractError(f"strategy {self.kind!r} pops one signature at a time")
 
     @classmethod
     def in_order(cls):
@@ -108,9 +111,6 @@ class SigTree:
         self.nodes.append(TreeNode(label, rank, parent, edge))
         self.nodes[parent].children.append(idx)
         return idx
-
-    def roots(self):
-        return list(self.nodes[0].children)
 
     def ancestors(self, idx: int):
         out = []
@@ -287,7 +287,8 @@ def run(
     ``trace`` receives one dict per event (queue mutations, pops, selections,
     reductions, insertions, skips).  ``debug_invariant_stride=k`` asserts the
     queue invariant at every k-th loop head.  ``pop_shuffle_seed`` replaces
-    the min-pop with a seeded random pop (test-only, out-of-order handling).
+    the batch pop with a seeded random pop of one signature (test-only,
+    out-of-order handling).
     """
     if prebasis.origin == "adhoc":
         raise ContractError("engine input must come from a prebasis constructor")
@@ -314,48 +315,25 @@ def run(
     def partial():
         return RunResult(G, tree, syzygy_signatures(G), stats)
 
-    def select(sigma):
-        if strategy.kind in ("f5", "f5_pruned"):
-            g, a = select_reductant_f5(sigma, G)
-            return g.id, a, multiply(a, g)
-        if strategy.kind == "min_lm":
-            g, a = _select_min_lm(sigma, G)
-            return g.id, a, multiply(a, g)
+    def sigtree(sigma):
         return select_reductant_sigtree(sigma, tree, G, child_order=child_order)
 
-    def reduce_and_insert(sigma, node_k, a, reductant, rank, extra_reducers=None):
-        # ids follow tree size so that batched insertions stay sequential
-        # even before their sigpairs join G
-        f = SigPair(reductant.part, sigma, len(tree.nodes))
-        if extra_reducers is None:
-            g_new, steps = regular_normal_form_with_steps(f, G)
-        else:
-            g_new, steps = _batch_normal_form(f, G, extra_reducers)
-        stats.reduction_steps += steps
-        stats.insertions += 1
-        if g_new.part.is_zero:
-            stats.zero_reductions += 1
-        emit(
-            {
-                "event": "reduce",
-                "signature": sigma,
-                "lm": g_new.part.lm,
-                "steps": steps,
-            }
-        )
-        emit(
-            {
-                "event": "insert",
-                "signature": sigma,
-                "node": g_new.id,
-                "parent": node_k,
-                "multiplier": a,
-                "lm": g_new.part.lm,
-                "steps": steps,
-            }
-        )
-        tree.add_node(g_new, parent=node_k, rank=rank, edge=a)
-        return g_new
+    def by_member(pick):
+        def select(sigma):
+            g, a = pick(sigma, G)
+            return g.id, a, multiply(a, g)
+
+        return select
+
+    # built per call: a selector rebound on the module (a tracing wrapper,
+    # say) takes effect on the next run
+    select = {
+        "in_order": sigtree,
+        "f4": sigtree,
+        "min_lm": by_member(_select_min_lm),
+        "f5": by_member(select_reductant_f5),
+        "f5_pruned": by_member(select_reductant_f5),
+    }[strategy.kind]
 
     while len(Q):
         if stats.insertions >= limits.max_insertions:
@@ -365,42 +343,13 @@ def run(
         if debug_invariant_stride and stats.iterations % debug_invariant_stride == 0:
             _check_invariant(G, Q, pruned, invariant_cache)
         stats.iterations += 1
-        rank = stats.iterations
 
-        if strategy.kind == "f4":
+        if rng is None:
             sigmas = Q.pop_batch(strategy.batch_size)
-            picked = []
-            for sigma in sigmas:
-                node_k, a, reductant = select(sigma)
-                emit(
-                    {
-                        "event": "select",
-                        "signature": sigma,
-                        "node": node_k,
-                        "multiplier": a,
-                        "lm": reductant.part.lm,
-                    }
-                )
-                if reductant.part.is_zero or find_regular_reducer(
-                    reductant.part.lm, sigma, G
-                ) is None:
-                    emit({"event": "skip", "signature": sigma, "node": node_k,
-                          "multiplier": a, "lm": reductant.part.lm})
-                    continue
-                picked.append((sigma, node_k, a, reductant))
-            fresh = []
-            for sigma, node_k, a, reductant in picked:  # ascending signature order
-                g_new = reduce_and_insert(sigma, node_k, a, reductant, rank,
-                                          extra_reducers=fresh)
-                fresh.append(g_new)
-            for g_new in fresh:
-                G.add(g_new)
-                queue_update(Q, g_new, G)
         else:
-            if rng is None:
-                sigma = Q.pop_min()
-            else:
-                sigma = Q.pop_at(rng.randrange(len(Q)))
+            sigmas = [Q.pop_at(rng.randrange(len(Q)))]
+        picked = []
+        for sigma in sigmas:
             node_k, a, reductant = select(sigma)
             emit(
                 {
@@ -416,10 +365,42 @@ def run(
             ) is None:
                 emit({"event": "skip", "signature": sigma, "node": node_k,
                       "multiplier": a, "lm": reductant.part.lm})
-            else:
-                g_new = reduce_and_insert(sigma, node_k, a, reductant, rank)
-                G.add(g_new)
-                queue_update(Q, g_new, G)
+                continue
+            picked.append((sigma, node_k, a, reductant))
+        fresh = []
+        for sigma, node_k, a, reductant in picked:  # ascending signature order
+            # ids follow tree size so that batched insertions stay sequential
+            # even before their sigpairs join G
+            f = SigPair(reductant.part, sigma, len(tree.nodes))
+            g_new, steps = regular_normal_form_with_steps(f, G, fresh)
+            stats.reduction_steps += steps
+            stats.insertions += 1
+            if g_new.part.is_zero:
+                stats.zero_reductions += 1
+            emit(
+                {
+                    "event": "reduce",
+                    "signature": sigma,
+                    "lm": g_new.part.lm,
+                    "steps": steps,
+                }
+            )
+            emit(
+                {
+                    "event": "insert",
+                    "signature": sigma,
+                    "node": g_new.id,
+                    "parent": node_k,
+                    "multiplier": a,
+                    "lm": g_new.part.lm,
+                    "steps": steps,
+                }
+            )
+            tree.add_node(g_new, parent=node_k, rank=stats.iterations, edge=a)
+            fresh.append(g_new)
+        for g_new in fresh:
+            G.add(g_new)
+            queue_update(Q, g_new, G)
         stats.peak_queue = max(stats.peak_queue, len(Q))
 
     certificate = faugere_certificate(G)
@@ -429,32 +410,6 @@ def run(
         )
     G.certified = True
     return RunResult(G, tree, syzygy_signatures(G), stats)
-
-
-def _batch_normal_form(f: SigPair, G: SigSet, fresh):
-    """Batch reduction: monoid multiples of G below the signature, plus the
-    batch-local elements admitted whole (their signatures are already
-    strictly smaller by the ascending processing order)."""
-    sigma = f.sig
-    sigma_key = G.sig_order.key(sigma)
-    skey = G.sig_order.key
-
-    def admit(mono):
-        best = None
-        found = find_regular_reducer(mono, sigma, G, _sigma_key=sigma_key)
-        if found is not None:
-            g, b = found
-            best = ((skey(g.sig.mul(b)), g.id), g.part.mul_monomial(b))
-        for h in fresh:
-            if h.part.is_zero or h.part.lm != mono:
-                continue
-            cand = ((skey(h.sig), h.id), h.part)
-            if best is None or cand[0] < best[0]:
-                best = cand
-        return best[1] if best else None
-
-    part, steps = normal_form_with_steps(f.part, admit)
-    return SigPair(part.monic(), sigma, f.id), steps
 
 
 def faugere_certificate(G: SigSet) -> CertificateReport:

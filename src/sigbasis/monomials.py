@@ -27,7 +27,6 @@ __all__ = [
     "ModuleOrder",
     "MonoidSpec",
     "MCMResult",
-    "compare",
     "divide",
     "divides_exponentwise",
     "monoid_member",
@@ -172,16 +171,6 @@ class ModuleOrder:
         if self.kind == "pot":
             return (1, i, inner)
         return (1, inner, i)
-
-
-def compare(m: Monomial, n: Monomial, order) -> int:
-    """Three-way comparison under ``order``; the zero monomial is minimal."""
-    a, b = order.key(m), order.key(n)
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
 
 
 class MonoidSpec:

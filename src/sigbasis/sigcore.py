@@ -22,7 +22,6 @@ __all__ = [
     "make_prebasis_unshifted",
     "make_prebasis_sum",
     "find_regular_reducer",
-    "regular_normal_form",
     "regular_normal_form_with_steps",
     "dominates",
     "classify_signature",
@@ -74,25 +73,11 @@ class SigSet:
         if sp.part.terms:
             self._reducers.append((_support_mask(sp.part.lm.exps), sp))
 
-    def member_by_id(self, i: int) -> SigPair:
-        for sp in self.members:
-            if sp.id == i:
-                return sp
-        raise KeyError(i)
-
-    def next_id(self) -> int:
-        return max(self._ids, default=0) + 1
-
     def __len__(self):
         return len(self.members)
 
     def __iter__(self):
         return iter(self.members)
-
-    def copy(self) -> "SigSet":
-        out = SigSet(self.ctx, self.sig_order, self.members, origin=self.origin)
-        out.certified = self.certified
-        return out
 
 
 def multiply(a: Monomial, f: SigPair) -> SigPair:
@@ -223,13 +208,33 @@ def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, _sigma
     return best[1], best[2]
 
 
-def regular_normal_form_with_steps(f: SigPair, G: SigSet):
-    """Reduce the part at fixed signature until no admissible reducer remains."""
+def regular_normal_form_with_steps(f: SigPair, G: SigSet, fresh=()):
+    """Reduce the part at fixed signature until no admissible reducer remains.
+
+    ``fresh`` holds the results reduced earlier in the same batch, not yet in
+    G.  They are admitted whole: the batch is reduced in ascending signature
+    order, so their signatures are already strictly smaller.  Among all
+    admissible reducers the smallest (shifted signature, id) wins.
+    """
     sigma = f.sig
-    sigma_key = G.sig_order.key(sigma)
+    skey = G.sig_order.key
+    sigma_key = skey(sigma)
 
     def admit(mono):
         found = find_regular_reducer(mono, sigma, G, _sigma_key=sigma_key)
+        if fresh:
+            best, winner = None, None
+            if found is not None:
+                g, b = found
+                best = (skey(g.sig.mul(b)), g.id)
+            for h in fresh:
+                if h.part.is_zero or h.part.lm != mono:
+                    continue
+                cand = (skey(h.sig), h.id)
+                if best is None or cand < best:
+                    best, winner = cand, h
+            if winner is not None:
+                return winner.part
         if found is None:
             return None
         g, b = found
@@ -237,10 +242,6 @@ def regular_normal_form_with_steps(f: SigPair, G: SigSet):
 
     part, steps = normal_form_with_steps(f.part, admit)
     return SigPair(part.monic(), sigma, f.id), steps
-
-
-def regular_normal_form(f: SigPair, G: SigSet) -> SigPair:
-    return regular_normal_form_with_steps(f, G)[0]
 
 
 def dominates(g: SigPair, f: SigPair, sig_order: ModuleOrder) -> bool:

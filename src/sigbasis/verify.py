@@ -135,15 +135,6 @@ def _interreduce(basis, spec):
     return out
 
 
-def interreduce_for_display(parts, spec):
-    """Tail-reduced, minimal, monic copy of a part list.
-
-    Display helper only: the result is a plain reduced Groebner basis and no
-    longer carries any signature semantics.
-    """
-    return tuple(_interreduce([p for p in parts if not p.is_zero], spec))
-
-
 def is_groebner_basis(elems, spec) -> bool:
     """Closure check: every S-pair reduces to zero over the set itself."""
     elems = [e for e in elems if not e.is_zero]

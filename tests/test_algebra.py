@@ -13,9 +13,8 @@ from sigbasis.algebra import (
     Element,
     PrimeField,
     bounded_span_pivots,
-    lm,
     membership_bounded,
-    normal_form,
+    normal_form_with_steps,
     top_reduce_step,
 )
 from sigbasis.errors import ContractError, StructureError
@@ -33,13 +32,13 @@ MORA_PIVOTS_D7 = {
 
 class TestLeadingMonomial:
     def test_mora_g2(self, mora_ctx):
-        assert lm(elem(mora_ctx, "y^5 - x^2*y")) == mono(mora_ctx, 5, 0)
+        assert elem(mora_ctx, "y^5 - x^2*y").lm == mono(mora_ctx, 5, 0)
 
     def test_zero_element(self, mora_ctx):
-        assert lm(Element.zero(mora_ctx)) is ZERO
+        assert Element.zero(mora_ctx).lm is ZERO
 
     def test_mora_g1(self, mora_ctx):
-        assert lm(elem(mora_ctx, "x^2*y^2 - 1")) == mono(mora_ctx, 2, 2)
+        assert elem(mora_ctx, "x^2*y^2 - 1").lm == mono(mora_ctx, 2, 2)
 
 
 class TestTopReduceStep:
@@ -79,12 +78,12 @@ class TestNormalForm:
             b = divide(g.lm, target, spec)
             return g.mul_monomial(b) if b is not None else None
 
-        out = normal_form(elem(univar_ctx, "x^2"), admit)
+        out = normal_form_with_steps(elem(univar_ctx, "x^2"), admit)[0]
         assert out == elem(univar_ctx, "1")
 
     def test_irreducible_unchanged(self, mora_ctx):
         f = elem(mora_ctx, "x^2*y^2 - 1")
-        assert normal_form(f, lambda target: None) == f
+        assert normal_form_with_steps(f, lambda target: None)[0] == f
 
     def test_shifted_reducer(self, mora_ctx):
         # y^2 * (x^5 - x y^2) reduced once by x^3 * (x^2 y^2 - 1)
@@ -98,7 +97,7 @@ class TestNormalForm:
                 return reducer
             return None
 
-        assert normal_form(f, admit) == elem(mora_ctx, "-x*y^4 + x^3")
+        assert normal_form_with_steps(f, admit)[0] == elem(mora_ctx, "-x*y^4 + x^3")
 
     def test_coset_preserved(self, mora_ctx, mora_gens):
         # the normal form differs from the input by a span member
@@ -113,7 +112,7 @@ class TestNormalForm:
             return None
 
         f = elem(mora_ctx, "x^2*y^5 + y^2")
-        out = normal_form(f, admit)
+        out = normal_form_with_steps(f, admit)[0]
         assert membership_bounded(f.sub(out), mora_gens, 8, spec)
 
 

@@ -156,6 +156,17 @@ class TestMainExitCodes:
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "setting",
+        ["module order=pot", "module rank=z", "monoid degmin=x"],
+    )
+    def test_malformed_setting_option(self, setting, tmp_path, capsys):
+        path = tmp_path / "bad.sys"
+        path.write_text(f"vars: y x\nsetting: {setting}\ngens:\nx - 1\n")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_certificate_failure_exit_2(self, monkeypatch, capsys):
         from sigbasis import engine
 
@@ -194,6 +205,14 @@ class TestEmitters:
             return dot.read_bytes(), js.read_bytes(), tr.read_bytes()
 
         assert snapshot("a") == snapshot("b")
+
+    def test_trace_streamed_before_limit(self, tmp_path, capsys):
+        trace = tmp_path / "cut.jsonl"
+        argv = ["run", "--builtin", "mora", "--max-insertions", "1", "--emit-trace", str(trace)]
+        assert main(argv) == 3
+        rows = [json.loads(line) for line in trace.read_text().splitlines()]
+        events = [row["event"] for row in rows]
+        assert events.count("insert") == 1 and events[-1] == "queue_add"
 
     def test_json_payload_shape(self, tmp_path):
         out = tmp_path / "run.json"

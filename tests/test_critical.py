@@ -10,7 +10,6 @@ from sigbasis.critical import (
     CriticalQueue,
     critical_pair_signatures,
     critical_set,
-    pop,
     queue_update,
 )
 from sigbasis.engine import Strategy, run
@@ -182,19 +181,17 @@ class TestQueue:
             Q.add(sig_b)
             return Q
 
-        got, _ = pop(fresh(), "min")
-        assert got == (sig_a,)
-        got, _ = pop(fresh(), "any_deterministic")
-        assert got == (sig_a,)
-        got, _ = pop(fresh(), ("batch", 2))
-        assert got == (sig_a, sig_b)
-        got, _ = pop(fresh(), ("batch", 5))
-        assert got == (sig_a, sig_b)
+        assert fresh().pop_min() == sig_a
+        assert fresh().pop_batch(1) == [sig_a]
+        assert fresh().pop_batch(2) == [sig_a, sig_b]
+        assert fresh().pop_batch(5) == [sig_a, sig_b]
         Q = fresh()
         Q.pop_min()
         Q.pop_min()
         with pytest.raises(ContractError):
             Q.pop_min()
+        with pytest.raises(ContractError):
+            Q.pop_batch(1)
 
     def test_min_pop_is_trace_minimum(self, mora_gens, mora_ctx):
         G = make_prebasis_shifted(mora_gens, "top")

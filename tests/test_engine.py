@@ -213,6 +213,17 @@ class TestRun:
         with pytest.raises(ContractError):
             run(S, Strategy.in_order())
 
+    @pytest.mark.parametrize("kind", ["in_order", "min_lm", "f5", "f5_pruned"])
+    def test_batch_size_only_for_f4(self, kind):
+        assert Strategy(kind, 1).batch_size == 1
+        with pytest.raises(ContractError):
+            Strategy(kind, 2)
+
+    @pytest.mark.parametrize("kind, batch_size", [("f4", 0), ("f6", 1)])
+    def test_malformed_strategy_rejected(self, kind, batch_size):
+        with pytest.raises(ContractError):
+            Strategy(kind, batch_size)
+
     def test_monoid_algebra_run_matches_oracle(self):
         # K[x^2, xy, y^2]: generators x^2 - xy and y^2 - xy
         from sigbasis.algebra import Context, RationalField
@@ -277,6 +288,30 @@ class TestSigTreeValidation:
 
 
 class TestStrategyAgreement:
+    # (iterations, insertions, zero reductions, reduction steps, peak queue)
+    # on katsura4, shifted.  The lm ideal alone does not pin the loop: the
+    # f4 batch reduced in descending order still reaches the right ideal.
+    @pytest.mark.parametrize(
+        "strategy, sig_order, counters",
+        [
+            (Strategy.in_order(), "top", (27, 16, 11, 262, 19)),
+            (Strategy.min_lm(), "top", (27, 12, 7, 151, 19)),
+            (Strategy.f5(), "top", (27, 12, 7, 151, 19)),
+            (Strategy.f5_pruned(), "top", (13, 12, 7, 151, 5)),
+            (Strategy.f4(4), "top", (8, 17, 11, 267, 18)),
+            (Strategy.in_order(), "pot", (31, 18, 12, 275, 18)),
+            (Strategy.min_lm(), "pot", (31, 13, 7, 139, 18)),
+            (Strategy.f5(), "pot", (31, 13, 7, 139, 18)),
+            (Strategy.f5_pruned(), "pot", (14, 13, 7, 139, 4)),
+            (Strategy.f4(4), "pot", (11, 23, 14, 346, 22)),
+        ],
+    )
+    def test_katsura4_counters(self, strategy, sig_order, counters):
+        _, gens = katsura(4)
+        s = run(make_prebasis_shifted(gens, sig_order), strategy).stats
+        got = (s.iterations, s.insertions, s.zero_reductions, s.reduction_steps, s.peak_queue)
+        assert got == counters
+
     def test_mora_all_strategies_same_lm_ideal(self, mora_gens, mora_ctx):
         gb = buchberger(mora_gens, mora_ctx.monoid)
         for st in ALL_STRATEGIES:

@@ -11,7 +11,6 @@ from sigbasis.monomials import (
     MonoidSpec,
     ScalarOrder,
     ZERO,
-    compare,
     divide,
     divides_exponentwise,
     minimal_common_multiples,
@@ -31,40 +30,40 @@ def m(*exps, slot=None):
 class TestCompare:
     def test_degree_dominates(self):
         # exps in (x, y): x^4 y^2 vs x^2 y^6
-        assert compare(m(4, 2), m(2, 6), XY) == -1
+        assert XY.key(m(4, 2)) < XY.key(m(2, 6))
 
     def test_degrevlex_tiebreak(self):
         # equal degree: larger exponent in the smallest variable loses
-        assert compare(m(5, 2), m(2, 5), XY) == -1
-        assert compare(m(2, 5), m(5, 2), XY) == 1
+        assert XY.key(m(5, 2)) < XY.key(m(2, 5))
+        assert XY.key(m(2, 5)) > XY.key(m(5, 2))
 
     def test_top_index_tiebreak(self):
         order = ModuleOrder(XY, "top", 3)
-        assert compare(m(2, 5, slot=1), m(2, 5, slot=2), order) == -1
+        assert order.key(m(2, 5, slot=1)) < order.key(m(2, 5, slot=2))
 
     def test_pot_index_dominates(self):
         order = ModuleOrder(XY, "pot", 2)
-        assert compare(m(99, 0, slot=1), m(1, 0, slot=2), order) == -1
+        assert order.key(m(99, 0, slot=1)) < order.key(m(1, 0, slot=2))
 
     def test_zero_is_strictly_minimal(self):
         for order in (XY, ModuleOrder(XY, "top", 2)):
             probe = m(0, 0, slot=1) if isinstance(order, ModuleOrder) else m(0, 0)
-            assert compare(ZERO, probe, order) == -1
-            assert compare(ZERO, ZERO, order) == 0
+            assert order.key(ZERO) < order.key(probe)
+            assert order.key(ZERO) == order.key(ZERO)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(StructureError):
-            compare(Monomial((1,)), m(1, 0), XY)
+            XY.key(Monomial((1,)))
 
     def test_rank_out_of_bounds_rejected(self):
         order = ModuleOrder(XY, "top", 2)
         with pytest.raises(StructureError):
-            compare(m(1, 0, slot=3), m(1, 0, slot=1), order)
+            order.key(m(1, 0, slot=3))
 
     def test_lex(self):
         lex = ScalarOrder("lex", ("x", "y"))  # y most significant
-        assert compare(m(9, 0), m(0, 1), lex) == -1
-        assert compare(m(1, 1), m(0, 1), lex) == 1
+        assert lex.key(m(9, 0)) < lex.key(m(0, 1))
+        assert lex.key(m(1, 1)) > lex.key(m(0, 1))
 
 
 def random_monomial(rng, width=2, max_exp=6, slot_rank=0):
@@ -91,13 +90,11 @@ def test_totality_and_multiplicative_compatibility(order, rank):
         a = random_monomial(rng)
         x = random_monomial(rng, slot_rank=rank)
         y = random_monomial(rng, slot_rank=rank)
-        c = compare(x, y, order)
-        assert c in (-1, 0, 1)
-        assert (c == 0) == (x == y)
-        assert compare(y, x, order) == -c
-        if c == -1:
-            assert compare(x.mul(a), y.mul(a), order) == -1
-        assert compare(x.mul(a), x, order) >= 0
+        kx, ky = order.key(x), order.key(y)
+        assert (kx == ky) == (x == y)
+        if kx < ky:
+            assert order.key(x.mul(a)) < order.key(y.mul(a))
+        assert order.key(x.mul(a)) >= kx
 
 
 class TestDivide:
@@ -122,7 +119,7 @@ class TestDivide:
             a = divide(x, y, FULL)
             if a is not None:
                 assert x.mul(a) == y
-                assert compare(x, y, XY) <= 0
+                assert XY.key(x) <= XY.key(y)
 
 
 class TestMonoidMember:

@@ -20,7 +20,6 @@ from sigbasis.sigcore import (
     make_prebasis_sum,
     make_prebasis_unshifted,
     multiply,
-    regular_normal_form,
     regular_normal_form_with_steps,
     syzygy_signatures,
 )
@@ -198,7 +197,7 @@ class TestRegularReduction:
 
     def test_mora_first_reduction(self, mora_prebasis, mora_ctx):
         g2 = mora_prebasis.members[1]
-        out = regular_normal_form(multiply(mono(mora_ctx, 0, 2), g2), mora_prebasis)
+        out = regular_normal_form_with_steps(multiply(mono(mora_ctx, 0, 2), g2), mora_prebasis)[0]
         assert out.part == elem(mora_ctx, "x^4*y - y^3")  # monic of -x^4y + y^3
         assert out.sig == mono(mora_ctx, 5, 2, slot=2)
 
@@ -209,7 +208,7 @@ class TestRegularReduction:
             g = mora_prebasis.members[rng.randrange(3)]
             a = mono(mora_ctx, rng.randrange(4), rng.randrange(4))
             f = multiply(a, g)
-            out = regular_normal_form(f, mora_prebasis)
+            out = regular_normal_form_with_steps(f, mora_prebasis)[0]
             assert out.sig == f.sig
             key = mora_ctx.order.key
             assert key(out.part.lm) <= key(f.part.lm)
@@ -223,9 +222,10 @@ class TestRegularReduction:
         # both normal forms agree (here even exactly, after monic scaling)
         members = [m for m in mora_run.basis.members if m.id <= 5]
         stage = SigSet(mora_run.basis.ctx, mora_run.basis.sig_order, members)
-        g2, g4 = stage.member_by_id(2), stage.member_by_id(4)
-        via_g4 = regular_normal_form(multiply(mono(mora_ctx, 1, 0), g4), stage)
-        via_g2 = regular_normal_form(multiply(mono(mora_ctx, 1, 2), g2), stage)
+        by_id = {m.id: m for m in stage.members}
+        g2, g4 = by_id[2], by_id[4]
+        via_g4 = regular_normal_form_with_steps(multiply(mono(mora_ctx, 1, 0), g4), stage)[0]
+        via_g2 = regular_normal_form_with_steps(multiply(mono(mora_ctx, 1, 2), g2), stage)[0]
         assert via_g4.part.lm == via_g2.part.lm == mono(mora_ctx, 4, 0)
         assert via_g4.part == via_g2.part == elem(mora_ctx, "y^4 - x^2")
 
