@@ -25,6 +25,7 @@ import contextlib
 import json
 import re
 import sys
+import time
 from dataclasses import dataclass, field, replace
 
 from .algebra import Context, PrimeField, RationalField
@@ -307,8 +308,8 @@ def _arg_parser() -> argparse.ArgumentParser:
         default="in-order",
         choices=["in-order", "min-lm", "f5", "f5-pruned", "f4"],
     )
-    runp.add_argument("--batch", type=int, default=4, metavar="K",
-                      help="f4 batch size")
+    runp.add_argument("--batch", type=int, default=None, metavar="K",
+                      help="f4 batch size (default 4; f4 only)")
     runp.add_argument("--sig-order", choices=["pot", "top"], default=None)
     runp.add_argument("--sig-init", choices=["shifted", "unshifted", "sum"],
                       default=None)
@@ -377,7 +378,17 @@ def main(argv=None) -> int:
         return 1
 
 
+def _strategy(args) -> Strategy:
+    if args.strategy == "f4":
+        return Strategy.f4(4 if args.batch is None else args.batch)
+    if args.batch is not None:
+        raise ParseError(f"--batch applies to --strategy f4 only, not {args.strategy}")
+    return _STRATEGY_FLAGS[args.strategy]()
+
+
 def _run_command(args) -> int:
+    deadline = time.monotonic() + args.max_seconds
+    strategy = _strategy(args)
     spec = _load_problem(args)
     ctx = spec.build_context()
     gens = spec.build_generators(ctx)
@@ -385,12 +396,7 @@ def _run_command(args) -> int:
     if spec.generators2:
         # the oracle compares against the full generated submodule
         gens = gens + [parse_element(t, ctx) for t in spec.generators2]
-
-    if args.strategy == "f4":
-        strategy = Strategy.f4(args.batch)
-    else:
-        strategy = _STRATEGY_FLAGS[args.strategy]()
-    limits = Limits(args.max_insertions, args.max_seconds)
+    limits = Limits(args.max_insertions, deadline - time.monotonic())
 
     with contextlib.ExitStack() as stack:
         sink = None
@@ -400,17 +406,13 @@ def _run_command(args) -> int:
             def sink(row):
                 trace_file.write(json.dumps(row, sort_keys=True) + "\n")
 
-        try:
-            result = run(
-                prebasis,
-                strategy,
-                limits,
-                trace=sink,
-                debug_invariant_stride=args.debug_invariants,
-            )
-        except LimitExceeded as exc:
-            print(f"limit exceeded: {exc}", file=sys.stderr)
-            return 3
+        result = run(
+            prebasis,
+            strategy,
+            limits,
+            trace=sink,
+            debug_invariant_stride=args.debug_invariants,
+        )
 
     variables = ctx.variables
     print(
@@ -426,7 +428,7 @@ def _run_command(args) -> int:
         cert = faugere_certificate(result.basis)
         tree_report = validate_sigtree(result.tree, result.basis)
         edge_ok = tree_signature_consistent(result.tree)
-        gb = buchberger(gens, ctx.monoid)
+        gb = buchberger(gens, ctx.monoid, deadline=deadline)
         oracle_lms = gb.lm_set()
         part_lms = {
             m.part.lm for m in result.basis.members if not m.part.is_zero
@@ -440,11 +442,13 @@ def _run_command(args) -> int:
         failed = not (cert.ok and not tree_report and edge_ok and lm_ok)
     if args.verify_deep is not None:
         deep_d = args.verify_deep
-        sig_report = bounded_signature_basis_check(result.basis, deep_d)
+        sig_report = bounded_signature_basis_check(
+            result.basis, deep_d, deadline=deadline
+        )
         print(f"verify-deep: signature-slices={'pass' if sig_report.ok else 'FAIL'}")
         failed = failed or not sig_report.ok
         if spec.sig_init == "shifted":
-            syz_report = bounded_syzygy_check(gens, result, deep_d)
+            syz_report = bounded_syzygy_check(gens, result, deep_d, deadline=deadline)
             print(f"verify-deep: syzygy-cover={'pass' if syz_report.ok else 'FAIL'}")
             failed = failed or not syz_report.ok
 
@@ -456,7 +460,7 @@ def _run_command(args) -> int:
         payload = _result_json(result, spec, variables)
         payload["config"]["strategy"] = args.strategy
         if args.strategy == "f4":
-            payload["config"]["batch"] = args.batch
+            payload["config"]["batch"] = strategy.batch_size
         with open(args.emit_json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")

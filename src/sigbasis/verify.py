@@ -1,19 +1,27 @@
 """Independent ground truth: a classical completion oracle and bounded checks.
 
-The oracle is deliberately naive: one S-pair per minimal common multiple,
-popped by smallest common-multiple degree, fully reduced, no pair-elimination
-shortcuts.  Its reduced output is unique, which makes it a stable fixture
-source for comparing engine runs.
+The oracle is classical Buchberger completion: one S-pair per minimal common
+multiple, popped by smallest common-multiple degree, fully reduced.  In the
+full multiplier monoid it skips the pairs that the Gebauer-Moeller update
+proves unnecessary: Buchberger's chain criterion on pending pairs, minimal
+and one-per-lcm selection of new pairs, and the product criterion for
+coprime leading monomials.  The product criterion needs commuting operands,
+so it is applied to ring elements only, never to module elements.  In a
+restricted monoid every minimal common multiple is reduced.  The reduced
+output is unique, which makes it a stable fixture source for comparing
+engine runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import add
+from time import monotonic
 
 from .algebra import Element, SpanEchelon
 from .errors import ContractError, LimitExceeded
-from .monomials import Monomial, divide, minimal_common_multiples
+from .monomials import Monomial, divide, divides_exponentwise, minimal_common_multiples
 from .sigcore import SigSet
 
 __all__ = [
@@ -79,26 +87,89 @@ def _pair_multiples(f: Element, g: Element, spec):
     return res.pairs
 
 
-def buchberger(gens, spec, max_insertions: int = 100_000) -> GroebnerBasis:
-    """Reduced Groebner basis by classical completion."""
+def _check_deadline(deadline):
+    if deadline is not None and monotonic() > deadline:
+        raise LimitExceeded("time cap exceeded during verification")
+
+
+def _lcm(m, n):
+    return tuple(map(max, m, n))
+
+
+def _drop_chained(live, basis, h: Monomial):
+    """Drop the pending pairs that a new leading monomial h makes redundant.
+
+    A pair (g1, g2) goes when h divides its lcm L and both lcm(g1, h) and
+    lcm(g2, h) differ from L (Buchberger's chain criterion).
+    """
+    for key, (i, j, lcm) in list(live.items()):
+        if (
+            divides_exponentwise(h, lcm)
+            and _lcm(basis[i].lm.exps, h.exps) != lcm.exps
+            and _lcm(basis[j].lm.exps, h.exps) != lcm.exps
+        ):
+            del live[key]
+
+
+def _new_pair_survivors(new, basis, h: Monomial):
+    """Gebauer-Moeller selection among the new pairs (h, g_j).
+
+    Keeps the first pair of each minimal lcm.  For index-free leading
+    monomials, an lcm equal to lm(h)*lm(g_j) for some pair in its group drops
+    the whole group (product criterion).
+    """
+    lcms = {pair[3] for pair in new}
+    groups = {}
+    for pair in new:
+        lcm = pair[3]
+        if any(o != lcm and divides_exponentwise(o, lcm) for o in lcms):
+            continue
+        coprime = not h.indices and lcm.degree == h.degree + basis[pair[0]].lm.degree
+        first, dropped = groups.get(lcm, (pair, False))
+        groups[lcm] = (first, dropped or coprime)
+    return [first for first, dropped in groups.values() if not dropped]
+
+
+def buchberger(
+    gens, spec, max_insertions: int = 100_000, *, deadline: float | None = None
+) -> GroebnerBasis:
+    """Reduced Groebner basis by classical completion.
+
+    ``deadline`` is a ``time.monotonic()`` value; past it, the next popped
+    pair raises ``LimitExceeded``.
+    """
     basis = [g.monic() for g in gens if not g.is_zero]
     if not basis:
         return GroebnerBasis((), reduced=True)
+    criteria = spec.kind == "full"
     pairs = []
+    live = {}  # counter -> (i, j, common multiple) of every pair still pending
     counter = 0
 
     def push_pairs(i):
         nonlocal counter
-        for j in range(i):
-            for a, b in _pair_multiples(basis[i], basis[j], spec):
-                counter += 1
-                heappush(pairs, (a.degree + basis[i].lm.degree, counter, i, j, a, b))
+        h = basis[i].lm
+        new = [
+            (j, a, b, Monomial(tuple(map(add, a.exps, h.exps)), h.indices))
+            for j in range(i)
+            for a, b in _pair_multiples(basis[i], basis[j], spec)
+        ]
+        if criteria:
+            _drop_chained(live, basis, h)
+            new = _new_pair_survivors(new, basis, h)
+        for j, a, b, lcm in new:
+            counter += 1
+            live[counter] = (i, j, lcm)
+            heappush(pairs, (lcm.degree, counter, i, j, a, b))
 
     for i in range(len(basis)):
         push_pairs(i)
     inserted = 0
     while pairs:
-        _, _, i, j, a, b = heappop(pairs)
+        _, key, i, j, a, b = heappop(pairs)
+        _check_deadline(deadline)
+        if live.pop(key, None) is None:
+            continue
         s = _spair(basis[i], basis[j], a, b)
         r = _full_reduce(s, basis, spec)
         if r.is_zero:
@@ -184,7 +255,7 @@ def _signature_slice_rows(G: SigSet, sigma_key, D: int):
 
 
 def bounded_signature_basis_check(
-    G: SigSet, D: int, max_signatures: int = 4000
+    G: SigSet, D: int, max_signatures: int = 4000, *, deadline: float | None = None
 ) -> CheckReport:
     """Echelon-pivot check of every signature slice up to degree D.
 
@@ -209,6 +280,7 @@ def bounded_signature_basis_check(
         )
     violations = []
     for sigma, sigma_key in sorted(sigmas.items(), key=lambda kv: kv[1]):
+        _check_deadline(deadline)
         rows = _signature_slice_rows(G, sigma_key, D)
         if not rows:
             continue
@@ -220,7 +292,9 @@ def bounded_signature_basis_check(
     return CheckReport(not violations, violations)
 
 
-def bounded_syzygy_check(input_gens, result, D: int) -> CheckReport:
+def bounded_syzygy_check(
+    input_gens, result, D: int, *, deadline: float | None = None
+) -> CheckReport:
     """Kernel cover check for a shifted-prebasis run.
 
     Computes, degree by degree, the leading monomials of the kernel of
@@ -244,6 +318,7 @@ def bounded_syzygy_check(input_gens, result, D: int) -> CheckReport:
     kernel_lms = []
     pivots = {}
     for _, shifted, am, g in entries:
+        _check_deadline(deadline)
         v = g.mul_monomial(am)
         while not v.is_zero:
             head = v.lm

@@ -145,6 +145,28 @@ class TestMainExitCodes:
             main(["run", "--builtin", "mora", "--max-insertions", "1"]) == 3
         )
 
+    def test_verification_bounded_by_max_seconds(self, monkeypatch, capsys):
+        # the engine finishes inside the cap; the oracle's clock reads past it
+        from sigbasis import verify
+
+        monkeypatch.setattr(verify, "monotonic", lambda: float("inf"))
+        argv = ["run", "--builtin", "mora", "--verify", "--max-seconds", "60"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith("basis: ")
+        assert captured.err.startswith("limit exceeded: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("strategy", ["in-order", "min-lm", "f5", "f5-pruned"])
+    def test_batch_rejected_without_f4(self, strategy, capsys):
+        assert main(["run", "--builtin", "mora", "--strategy", strategy, "--batch", "8"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_f4_default_batch(self, tmp_path):
+        out = tmp_path / "run.json"
+        assert main(["run", "--builtin", "mora", "--strategy", "f4", "--emit-json", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["batch"] == 4
+
     @pytest.mark.parametrize(
         "field, code",
         [("q", 0), ("gf:32003", 0), ("gf", 1), ("gf:abc", 1), ("gf:4", 1), ("foo", 1),

@@ -7,10 +7,11 @@ import pytest
 from conftest import elem, load_fixture, mono
 from sigbasis.algebra import Context, PrimeField, RationalField
 from sigbasis.engine import Strategy, run
-from sigbasis.errors import ContractError
+from sigbasis import verify
+from sigbasis.errors import ContractError, LimitExceeded
 from sigbasis.monomials import Monomial, ModuleOrder, MonoidSpec, ScalarOrder
 from sigbasis.sigcore import SigPair, SigSet, make_prebasis_shifted
-from sigbasis.systems import katsura
+from sigbasis.systems import katsura, mora_context, mora_generators
 from sigbasis.textio import parse_element, render_element, render_monomial
 from sigbasis.verify import (
     bounded_signature_basis_check,
@@ -20,6 +21,7 @@ from sigbasis.verify import (
     lm_ideal_equal,
     prebasis_spotcheck_P2,
 )
+from test_differential import random_system
 
 
 class TestBuchberger:
@@ -44,7 +46,7 @@ class TestBuchberger:
         for g in mora_gens:
             assert _full_reduce(g, list(gb), mora_ctx.monoid).is_zero
 
-    @pytest.mark.parametrize("name", ["katsura4", "katsura5"])
+    @pytest.mark.parametrize("name", ["katsura4", "katsura5", "katsura6"])
     def test_katsura_matches_fixture(self, name):
         fx = load_fixture(f"{name}_oracle.json")
         ctx, gens = __import__("sigbasis.systems", fromlist=["katsura"]).katsura(
@@ -106,6 +108,84 @@ class TestBuchberger:
         assert lm_ideal_equal(lms, gb.lm_set(), ctx.monoid)
 
 
+    def test_expired_deadline_raises(self, mora_ctx, mora_gens):
+        with pytest.raises(LimitExceeded):
+            buchberger(mora_gens, mora_ctx.monoid, deadline=0.0)
+
+
+def _katsura4_generated_monoid():
+    # multipliers generated by the degree-2 monomials
+    gf_ctx, gf_gens = katsura(4, PrimeField(32003))
+    width = gf_ctx.width
+    squares = [
+        tuple(int(k == i) + int(k == j) for k in range(width))
+        for i in range(width)
+        for j in range(i, width)
+    ]
+    spec = MonoidSpec.generated(squares)
+    ctx = Context(gf_ctx.variables, gf_ctx.order, spec, gf_ctx.field)
+    return ctx, [parse_element(render_element(g), ctx) for g in gf_gens]
+
+
+def _mora_degmin2():
+    base = mora_context(PrimeField(32003))
+    spec = MonoidSpec.degree_truncated(2)
+    ctx = Context(base.variables, base.order, spec, base.field)
+    return ctx, mora_generators(ctx)
+
+
+class TestPairCriteria:
+    """The Gebauer-Moeller pair criteria skip only S-pairs that vanish."""
+
+    def test_no_product_criterion_for_module_elements(self):
+        # lm(x*e1 + e2) = x*e1 and y*e1 are coprime, yet their S-pair is y*e2
+        variables = ("y", "x")
+        order = ModuleOrder(ScalarOrder("degrevlex", variables), "top", 2)
+        ctx = Context(variables, order, MonoidSpec.full(), RationalField())
+        gens = [parse_element("x*e_1 + e_2", ctx), parse_element("y*e_1", ctx)]
+        gb = buchberger(gens, ctx.monoid)
+        assert mono(ctx, 1, 0, slot=2) in gb.lm_set()
+        assert is_groebner_basis(list(gb), ctx.monoid)
+
+    def test_criteria_skip_pairs_on_katsura6(self, monkeypatch):
+        calls = []
+        spair = verify._spair
+
+        def counted(*args):
+            calls.append(None)
+            return spair(*args)
+
+        monkeypatch.setattr(verify, "_spair", counted)
+        ctx, gens = katsura(6, PrimeField(32003))
+        gb = buchberger(gens, ctx.monoid)
+        assert len(gb) == 22
+        assert len(calls) <= 80  # 276 S-pairs without the criteria
+
+    @pytest.mark.parametrize(
+        "system",
+        [f"random-{seed}-{field}" for seed in range(16) for field in ("q", "gf")]
+        + ["mora-degmin2", "katsura4-generated"],
+    )
+    def test_closed_and_order_independent(self, system):
+        if system == "mora-degmin2":
+            ctx, gens = _mora_degmin2()
+        elif system == "katsura4-generated":
+            ctx, gens = _katsura4_generated_monoid()
+        else:
+            _, seed, field = system.split("-")
+            fld = RationalField() if field == "q" else PrimeField(32003)
+            ctx, gens = random_system(int(seed), fld)
+        gb = buchberger(gens, ctx.monoid)
+        assert is_groebner_basis(list(gb), ctx.monoid)
+        reference = [render_element(g) for g in gb]
+        rng = random.Random(7)
+        for _ in range(2):
+            shuffled = gens[:]
+            rng.shuffle(shuffled)
+            again = buchberger(shuffled, ctx.monoid)
+            assert [render_element(g) for g in again] == reference
+
+
 class TestLmIdealEqual:
     def test_examples(self, mora_ctx):
         full = mora_ctx.monoid
@@ -164,6 +244,11 @@ class TestBoundedSignatureBasisCheck:
             bounded_signature_basis_check(G, 8, max_signatures=3)
 
 
+    def test_expired_deadline_raises(self, mora_run):
+        with pytest.raises(LimitExceeded):
+            bounded_signature_basis_check(mora_run.basis, 8, deadline=0.0)
+
+
 class TestBoundedSyzygyCheck:
     def test_single_generator_vacuous(self, univar_ctx):
         gens = [elem(univar_ctx, "x - 1")]
@@ -198,6 +283,11 @@ class TestBoundedSyzygyCheck:
         res = run(make_prebasis_unshifted(mora_gens, "top"), Strategy.in_order())
         with pytest.raises(ContractError):
             bounded_syzygy_check(mora_gens, res, 8)
+
+
+    def test_expired_deadline_raises(self, mora_gens, mora_run):
+        with pytest.raises(LimitExceeded):
+            bounded_syzygy_check(mora_gens, mora_run, 8, deadline=0.0)
 
 
 class TestPrebasisSpotcheckP2:
