@@ -5,13 +5,19 @@ sorted strictly descending under the declared order, with no zero
 coefficients.  All arithmetic is exact: rationals (gmpy2 ``mpq`` when
 available, ``fractions.Fraction`` otherwise) or a prime residue field.
 Values are immutable and safe to share.
+
+Top reduction (``normal_form_with_steps``) over Q runs on integers: the
+element and each reducer are cleared of denominators, combined with integer
+cofactors, and divided by their content, while one exact rational scale
+tracks the factor taken out; the result becomes rational once, at the end.
+Over GF(p) it runs the field loop of ``top_reduce_step``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add
 
 from .errors import ContractError, StructureError
@@ -332,8 +338,12 @@ def normal_form_with_steps(f: Element, admit) -> tuple[Element, int]:
 
     ``admit`` maps a nonzero monomial to a reducer element with that leading
     monomial, or None.  Terminates because the leading monomial strictly
-    decreases in a well-order.
+    decreases in a well-order.  Over Q the reduction runs on integers (see
+    ``_fraction_free_normal_form``) and returns the same element as the
+    field loop, which GF(p) runs.
     """
+    if isinstance(f.ctx.field, RationalField):
+        return _fraction_free_normal_form(f, admit)
     steps = 0
     while not f.is_zero:
         e = admit(f.lm)
@@ -342,6 +352,82 @@ def normal_form_with_steps(f: Element, admit) -> tuple[Element, int]:
         f = top_reduce_step(f, e)
         steps += 1
     return f, steps
+
+
+def _cleared(terms):
+    """Integer terms T and the positive integer d with T = d * terms."""
+    dens = [c.denominator for _, _, c in terms]
+    den = lcm(*dens)
+    return [(k, m, c.numerator * (den // q)) for (k, m, c), q in zip(terms, dens)], den
+
+
+def _content(values) -> int:
+    """gcd of the integers, 0 if all are zero; the scan stops once it is 1."""
+    g = 0
+    for x in values:
+        g = gcd(g, x)
+        if g == 1:
+            break
+    return g
+
+
+def _fraction_free_normal_form(f: Element, admit) -> tuple[Element, int]:
+    """Top reduction over Q on integer rows with one exact scale.
+
+    f is kept as scale * F with F integral.  A step against the cleared
+    reducer E replaces F by (lc E / g) * F - (lc F / g) * E, g = gcd of the
+    two leading coefficients, and divides out the content of the result
+    (integer-preserving elimination: Bareiss 1968; Knuth, TAOCP 4.6.1).
+    Rationals are formed once, at the end.
+    """
+    e = admit(f.lm) if f.terms else None
+    if e is None:
+        return f, 0
+    F, den = _cleared(f.terms)
+    scale = _ratio(1, den)
+    steps = 0
+    while e is not None:
+        if not e.terms or e.terms[0][1] != F[0][1]:
+            raise ContractError("top reduction needs matching nonzero leading monomials")
+        E, _ = _cleared(e.terms)
+        ce, cf = E[0][2], F[0][2]
+        g = gcd(ce, cf)
+        a, b = ce // g, cf // g
+        # a * F - b * E; the leading terms cancel and are skipped
+        out = []
+        append = out.append
+        i = j = 1
+        nf, ne = len(F), len(E)
+        while i < nf and j < ne:
+            kf = F[i][0]
+            ke = E[j][0]
+            if kf > ke:
+                _, m, c = F[i]
+                append((kf, m, a * c))
+                i += 1
+            elif kf < ke:
+                _, m, c = E[j]
+                append((ke, m, -b * c))
+                j += 1
+            else:
+                c = a * F[i][2] - b * E[j][2]
+                if c:
+                    append((kf, F[i][1], c))
+                i += 1
+                j += 1
+        out.extend([(k, m, a * c) for k, m, c in F[i:]])
+        out.extend([(k, m, -b * c) for k, m, c in E[j:]])
+        steps += 1
+        if not out:
+            return Element(f.ctx, ()), steps
+        content = _content(c for _, _, c in out)
+        if content > 1:
+            out = [(k, m, c // content) for k, m, c in out]
+        F = out
+        scale = scale * _ratio(g * content, ce)
+        e = admit(F[0][1])
+    num, den = scale.numerator, scale.denominator
+    return Element(f.ctx, tuple((k, m, _ratio(c * num, den)) for k, m, c in F)), steps
 
 
 class SpanEchelon:
@@ -371,23 +457,15 @@ class SpanEchelon:
         index = extra_index or self._col_index
         v = [0] * len(index)
         if self._mod is None:
-            den = 1
-            for _, m, c in f.terms:
-                den = den * c.denominator // gcd(den, c.denominator)
-            for _, m, c in f.terms:
-                v[index[m]] = int(c.numerator) * (den // int(c.denominator))
+            for _, m, c in _cleared(f.terms)[0]:
+                v[index[m]] = c
         else:
             for _, m, c in f.terms:
                 v[index[m]] = c % self._mod
         return v
 
     def _strip_content(self, v):
-        g = 0
-        for x in v:
-            if x:
-                g = gcd(g, abs(x))
-                if g == 1:
-                    return v
+        g = _content(v)
         if g > 1:
             return [x // g for x in v]
         return v

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import re
 import sys
 import time
@@ -386,7 +387,17 @@ def _strategy(args) -> Strategy:
     return _STRATEGY_FLAGS[args.strategy]()
 
 
+def _check_limit_flags(args):
+    if not (math.isfinite(args.max_seconds) and args.max_seconds >= 0):
+        raise ParseError(f"--max-seconds must be finite and >= 0, got {args.max_seconds}")
+    for flag in ("max_insertions", "debug_invariants", "verify_deep"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise ParseError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
+
+
 def _run_command(args) -> int:
+    _check_limit_flags(args)
     deadline = time.monotonic() + args.max_seconds
     strategy = _strategy(args)
     spec = _load_problem(args)
@@ -425,8 +436,8 @@ def _run_command(args) -> int:
     failed = False
     oracle_lms = None
     if args.verify or args.verify_deep is not None:
-        cert = faugere_certificate(result.basis)
-        tree_report = validate_sigtree(result.tree, result.basis)
+        cert = faugere_certificate(result.basis, deadline=deadline)
+        tree_report = validate_sigtree(result.tree, result.basis, deadline=deadline)
         edge_ok = tree_signature_consistent(result.tree)
         gb = buchberger(gens, ctx.monoid, deadline=deadline)
         oracle_lms = gb.lm_set()

@@ -13,8 +13,8 @@ in debug runs.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
+from time import monotonic
 
 from .critical import CriticalQueue, critical_set, queue_update
 from .errors import CertificateError, ContractError, LimitExceeded, SigbasisError
@@ -288,7 +288,9 @@ def run(
     reductions, insertions, skips).  ``debug_invariant_stride=k`` asserts the
     queue invariant at every k-th loop head.  ``pop_shuffle_seed`` replaces
     the batch pop with a seeded random pop of one signature (test-only,
-    out-of-order handling).
+    out-of-order handling).  ``limits.max_seconds`` bounds the loop and the
+    closing certificate; either cap raises ``LimitExceeded`` carrying the
+    uncertified partial result.
     """
     if prebasis.origin == "adhoc":
         raise ContractError("engine input must come from a prebasis constructor")
@@ -310,7 +312,7 @@ def run(
         queue_update(Q, g, G)
     stats.peak_queue = len(Q)
 
-    start = time.monotonic()
+    deadline = monotonic() + limits.max_seconds
 
     def partial():
         return RunResult(G, tree, syzygy_signatures(G), stats)
@@ -338,7 +340,7 @@ def run(
     while len(Q):
         if stats.insertions >= limits.max_insertions:
             raise LimitExceeded("insertion cap exceeded", partial=partial())
-        if time.monotonic() - start > limits.max_seconds:
+        if monotonic() > deadline:
             raise LimitExceeded("time cap exceeded", partial=partial())
         if debug_invariant_stride and stats.iterations % debug_invariant_stride == 0:
             _check_invariant(G, Q, pruned, invariant_cache)
@@ -403,7 +405,10 @@ def run(
             queue_update(Q, g_new, G)
         stats.peak_queue = max(stats.peak_queue, len(Q))
 
-    certificate = faugere_certificate(G)
+    try:
+        certificate = faugere_certificate(G, deadline=deadline)
+    except LimitExceeded as exc:
+        raise LimitExceeded(f"{exc} in the certificate", partial=partial()) from None
     if not certificate.ok:
         raise CertificateError(
             f"completed run failed its own certificate at {certificate.failures!r}"
@@ -412,16 +417,29 @@ def run(
     return RunResult(G, tree, syzygy_signatures(G), stats)
 
 
-def faugere_certificate(G: SigSet) -> CertificateReport:
-    """Combinatorial rewrite-basis check over the critical set."""
-    key = G.sig_order.key
-    failures = sorted(
-        (s for s in critical_set(G) if not rewrite_basis_at(G, s)), key=key
-    )
+def _check_deadline(deadline):
+    if deadline is not None and monotonic() > deadline:
+        raise LimitExceeded("time cap exceeded")
+
+
+def faugere_certificate(G: SigSet, *, deadline: float | None = None) -> CertificateReport:
+    """Combinatorial rewrite-basis check over the critical set.
+
+    ``deadline`` is a ``time.monotonic()`` value; past it, the next critical
+    signature raises ``LimitExceeded``.
+    """
+    failures = []
+    for s in critical_set(G):
+        _check_deadline(deadline)
+        if not rewrite_basis_at(G, s):
+            failures.append(s)
+    failures.sort(key=G.sig_order.key)
     return CertificateReport(not failures, failures)
 
 
-def validate_sigtree(tree: SigTree, G: SigSet) -> list[str]:
+def validate_sigtree(
+    tree: SigTree, G: SigSet, *, deadline: float | None = None
+) -> list[str]:
     """Well-formedness report; empty means no violations.
 
     Checks, per node: the edge relation (signature of the child equals the
@@ -429,7 +447,8 @@ def validate_sigtree(tree: SigTree, G: SigSet) -> list[str]:
     drop); irreducibility modulo the ancestors; that an older sibling's
     signature never divides a younger sibling's (compared across distinct
     ranks only, since batch insertions share a rank); and that ranks are
-    finite per level and increase from parent to child.
+    finite per level and increase from parent to child.  ``deadline`` is
+    checked once per node before its ancestor-irreducibility test.
     """
     spec = G.monoid
     part_key = G.ctx.order.key
@@ -453,6 +472,7 @@ def validate_sigtree(tree: SigTree, G: SigSet) -> list[str]:
         if not part_key(shifted) > part_key(label.part.lm):
             violations.append(f"T1: no strict leading-monomial drop at node {idx}")
     for idx in range(1, len(tree.nodes)):
+        _check_deadline(deadline)
         node = tree.nodes[idx]
         label = node.label
         if label.part.is_zero:

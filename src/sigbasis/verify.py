@@ -19,7 +19,7 @@ from heapq import heappop, heappush
 from operator import add
 from time import monotonic
 
-from .algebra import Element, SpanEchelon
+from .algebra import Element, SpanEchelon, normal_form_with_steps
 from .errors import ContractError, LimitExceeded
 from .monomials import Monomial, divide, divides_exponentwise, minimal_common_multiples
 from .sigcore import SigSet
@@ -319,16 +319,11 @@ def bounded_syzygy_check(
     pivots = {}
     for _, shifted, am, g in entries:
         _check_deadline(deadline)
-        v = g.mul_monomial(am)
-        while not v.is_zero:
-            head = v.lm
-            pivot = pivots.get(head)
-            if pivot is None:
-                pivots[head] = v
-                break
-            v = v.sub_scaled(pivot, ctx.field.div(v.lc, pivot.lc))
+        v, _ = normal_form_with_steps(g.mul_monomial(am), pivots.get)
         if v.is_zero:
             kernel_lms.append(shifted)
+        else:
+            pivots[v.lm] = v
     syz = result.syzygies
     violations = [
         s

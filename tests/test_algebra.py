@@ -1,5 +1,8 @@
 """Elements, top reduction, normal forms, and the bounded span oracles."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from conftest import (
@@ -8,10 +11,12 @@ from conftest import (
     elem,
     mono,
 )
+from sigbasis import algebra
 from sigbasis.algebra import (
     Context,
     Element,
     PrimeField,
+    RationalField,
     bounded_span_pivots,
     membership_bounded,
     normal_form_with_steps,
@@ -114,6 +119,119 @@ class TestNormalForm:
         f = elem(mora_ctx, "x^2*y^5 + y^2")
         out = normal_form_with_steps(f, admit)[0]
         assert membership_bounded(f.sub(out), mora_gens, 8, spec)
+
+
+def field_loop_normal_form(f, admit):
+    """The reference: plain top reduction in the coefficient field."""
+    steps = 0
+    while not f.is_zero:
+        e = admit(f.lm)
+        if e is None:
+            break
+        f = top_reduce_step(f, e)
+        steps += 1
+    return f, steps
+
+
+def random_rational(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.choice([1, 2, 3, 4, 6, 9, 10]))
+
+
+def random_reduction_case(rng, ctx):
+    """A random f and a reducer dictionary lm -> element with rational tails."""
+    key = ctx.order.key
+    monomials = [Monomial(a) for a in ctx.monoid.elements_up_to(ctx.width, 3)]
+    reducers = {}
+    for m in monomials:
+        if rng.random() < 0.6:
+            lower = [n for n in monomials if key(n) < key(m)]
+            tail = rng.sample(lower, min(len(lower), rng.randint(0, 4)))
+            pairs = [(m, random_rational(rng))] + [(n, random_rational(rng)) for n in tail]
+            reducers[m] = Element.from_terms(ctx, pairs)
+    support = rng.sample(monomials, rng.randint(1, 12))
+    f = Element.from_terms(ctx, [(m, random_rational(rng)) for m in support])
+    return f, reducers
+
+
+class TestFractionFreeNormalForm:
+    """Over Q the normal form runs on integers; it must equal the field loop."""
+
+    @pytest.fixture(scope="class")
+    def q3_ctx(self):
+        names = ("z", "y", "x")
+        return Context(names, ScalarOrder("degrevlex", names), MonoidSpec.full(), RationalField())
+
+    @staticmethod
+    def assert_same(got, want):
+        (g, g_steps), (w, w_steps) = got, want
+        assert [(m, c) for _, m, c in g.terms] == [(m, c) for _, m, c in w.terms]
+        assert [k for k, _, _ in g.terms] == [k for k, _, _ in w.terms]
+        assert all(type(c) is algebra._ratio for _, _, c in g.terms)
+        assert g_steps == w_steps
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_field_loop_on_random_cases(self, q3_ctx, seed):
+        rng = random.Random(seed)
+        total_steps = 0
+        for _ in range(25):
+            f, reducers = random_reduction_case(rng, q3_ctx)
+            want = field_loop_normal_form(f, reducers.get)
+            self.assert_same(normal_form_with_steps(f, reducers.get), want)
+            total_steps += want[1]
+        assert total_steps > 10
+
+    def test_shifted_reducers_match_field_loop(self, mora_ctx, mora_gens):
+        spec = mora_ctx.monoid
+        from sigbasis.monomials import divide
+
+        gens = [g.scale(mora_ctx.field.from_ratio(3, 7)) for g in mora_gens]
+
+        def admit(target):
+            for g in gens:
+                b = divide(g.lm, target, spec)
+                if b is not None:
+                    return g.mul_monomial(b)
+            return None
+
+        f = elem(mora_ctx, "5/2*x^4*y^5 - 1/3*x^6*y + 7/4*x^2*y^2 + 1/6")
+        self.assert_same(normal_form_with_steps(f, admit), field_loop_normal_form(f, admit))
+
+    def test_content_is_stripped_into_the_scale(self, univar_ctx):
+        # the row after one step is 2*x + 4, content 2
+        f = elem(univar_ctx, "x^2 + 2*x + 4")
+        reducers = {mono(univar_ctx, 2): elem(univar_ctx, "x^2")}
+        got = normal_form_with_steps(f, reducers.get)
+        self.assert_same(got, field_loop_normal_form(f, reducers.get))
+        assert got == (elem(univar_ctx, "2*x + 4"), 1)
+
+    def test_common_factor_of_leading_coefficients(self, mora_ctx):
+        # cleared rows 2*x^2 + y and 2*x^2 + 1: gcd of the leading coefficients is 2
+        f = elem(mora_ctx, "x^2 + 1/2*y")
+        reducers = {mono(mora_ctx, 0, 2): elem(mora_ctx, "x^2 + 1/2")}
+        got = normal_form_with_steps(f, reducers.get)
+        self.assert_same(got, field_loop_normal_form(f, reducers.get))
+        assert got == (elem(mora_ctx, "1/2*y - 1/2"), 1)
+
+    def test_cancels_to_zero(self, mora_ctx):
+        f = elem(mora_ctx, "2/3*x^2*y^2 - 2/3")
+        reducers = {mono(mora_ctx, 2, 2): elem(mora_ctx, "x^2*y^2 - 1")}
+        got = normal_form_with_steps(f, reducers.get)
+        assert got[0].is_zero and got[1] == 1
+
+    def test_empty_admit_returns_input(self, mora_ctx):
+        f = elem(mora_ctx, "1/2*x^2*y^2 - 3")
+        assert normal_form_with_steps(f, {}.get) == (f, 0)
+
+    def test_zero_element(self, mora_ctx):
+        zero = Element.zero(mora_ctx)
+        assert normal_form_with_steps(zero, lambda m: pytest.fail("admit called")) == (zero, 0)
+
+    def test_lm_mismatch_rejected(self, mora_ctx):
+        f = elem(mora_ctx, "1/2*x^2 + y")
+        with pytest.raises(ContractError):
+            normal_form_with_steps(f, lambda m: elem(mora_ctx, "y^5"))
+        with pytest.raises(ContractError):
+            normal_form_with_steps(f, lambda m: Element.zero(mora_ctx))
 
 
 class TestMonicDiscipline:

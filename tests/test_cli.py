@@ -156,6 +156,40 @@ class TestMainExitCodes:
         assert captured.out.startswith("basis: ")
         assert captured.err.startswith("limit exceeded: ") and captured.err.count("\n") == 1
 
+    def test_certificate_check_bounded_by_max_seconds(self, monkeypatch, capsys):
+        # the run and its own certificate finish; the clock reads past the
+        # deadline once --verify recomputes the certificate
+        from sigbasis import cli, engine
+
+        real = engine.faugere_certificate
+
+        def late_certificate(G, *, deadline=None):
+            monkeypatch.setattr(engine, "monotonic", lambda: float("inf"))
+            return real(G, deadline=deadline)
+
+        monkeypatch.setattr(cli, "faugere_certificate", late_certificate)
+        argv = ["run", "--builtin", "mora", "--verify", "--max-seconds", "60"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith("basis: ")
+        assert captured.err.startswith("limit exceeded: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-seconds", "nan"), ("--max-seconds", "inf"), ("--max-seconds", "-1"),
+         ("--debug-invariants", "-1"), ("--max-insertions", "-5"), ("--verify-deep", "-1")],
+    )
+    def test_malformed_limit_flag(self, flag, value, monkeypatch, capsys):
+        from sigbasis import cli
+
+        def no_problem(args):
+            raise AssertionError("the problem was loaded before the flags were checked")
+
+        monkeypatch.setattr(cli, "_load_problem", no_problem)
+        assert main(["run", "--builtin", "mora", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("strategy", ["in-order", "min-lm", "f5", "f5-pruned"])
     def test_batch_rejected_without_f4(self, strategy, capsys):
         assert main(["run", "--builtin", "mora", "--strategy", strategy, "--batch", "8"]) == 1
@@ -193,7 +227,9 @@ class TestMainExitCodes:
         from sigbasis import engine
 
         monkeypatch.setattr(
-            engine, "faugere_certificate", lambda G: engine.CertificateReport(False, ["forced"])
+            engine,
+            "faugere_certificate",
+            lambda G, deadline=None: engine.CertificateReport(False, ["forced"]),
         )
         assert main(["run", "--builtin", "mora"]) == 2
         err = capsys.readouterr().err

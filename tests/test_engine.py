@@ -255,6 +255,27 @@ class TestCertificate:
     def test_vacuous_on_empty(self):
         assert faugere_certificate(make_prebasis_shifted([], "top")).ok
 
+    def test_expired_deadline_raises(self, mora_run):
+        with pytest.raises(LimitExceeded):
+            faugere_certificate(mora_run.basis, deadline=0.0)
+
+    def test_run_caps_its_certificate(self, monkeypatch, mora_prebasis):
+        # the loop finishes inside the cap; the certificate's clock reads past it
+        from sigbasis import engine
+
+        real = engine.faugere_certificate
+
+        def late_certificate(G, *, deadline=None):
+            monkeypatch.setattr(engine, "monotonic", lambda: float("inf"))
+            return real(G, deadline=deadline)
+
+        monkeypatch.setattr(engine, "faugere_certificate", late_certificate)
+        with pytest.raises(LimitExceeded) as info:
+            run(mora_prebasis, Strategy.f5())
+        partial = info.value.partial
+        assert partial is not None and not partial.basis.certified
+        assert partial.stats.insertions > 0
+
 
 class TestSigTreeValidation:
     def test_completed_runs_valid(self, mora_gens):
@@ -285,6 +306,10 @@ class TestSigTreeValidation:
         tree.add_node(c1, parent=1, rank=1, edge=mono(mora_ctx, 0, 1))
         tree.add_node(c2, parent=1, rank=2, edge=mono(mora_ctx, 0, 2))
         assert any("T3" in v for v in validate_sigtree(tree, S))
+
+    def test_expired_deadline_raises(self, mora_run):
+        with pytest.raises(LimitExceeded):
+            validate_sigtree(mora_run.tree, mora_run.basis, deadline=0.0)
 
 
 class TestStrategyAgreement:
