@@ -453,8 +453,8 @@ class SpanEchelon:
         mat = [self._vectorize(r) for r in live]
         self._rows, self._pivots = self._eliminate(mat)
 
-    def _vectorize(self, f: Element, extra_index=None):
-        index = extra_index or self._col_index
+    def _vectorize(self, f: Element):
+        index = self._col_index
         v = [0] * len(index)
         if self._mod is None:
             for _, m, c in _cleared(f.terms)[0]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import re
 import sys
 import time
@@ -41,6 +40,7 @@ from .engine import (
 )
 from .errors import (
     CertificateError,
+    ContractError,
     LimitExceeded,
     ParseError,
     SigbasisError,
@@ -289,6 +289,7 @@ def _result_json(result, spec: ProblemSpec, variables) -> dict:
             "zero_reductions": result.stats.zero_reductions,
             "reduction_steps": result.stats.reduction_steps,
             "peak_queue": result.stats.peak_queue,
+            "koszul_zeros": result.stats.koszul_zeros,
         },
     }
 
@@ -387,18 +388,23 @@ def _strategy(args) -> Strategy:
     return _STRATEGY_FLAGS[args.strategy]()
 
 
-def _check_limit_flags(args):
-    if not (math.isfinite(args.max_seconds) and args.max_seconds >= 0):
-        raise ParseError(f"--max-seconds must be finite and >= 0, got {args.max_seconds}")
-    for flag in ("max_insertions", "debug_invariants", "verify_deep"):
+def _limits(args) -> Limits:
+    """Check the limit flags before any input is read; ``Limits`` checks the caps."""
+    try:
+        limits = Limits(args.max_insertions, args.max_seconds)
+    except ContractError as exc:
+        # the message starts with the field name, e.g. "max_seconds must be ..."
+        raise ParseError("--" + str(exc).replace("_", "-", 1)) from None
+    for flag in ("debug_invariants", "verify_deep"):
         value = getattr(args, flag)
         if value is not None and value < 0:
             raise ParseError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
+    return limits
 
 
 def _run_command(args) -> int:
-    _check_limit_flags(args)
-    deadline = time.monotonic() + args.max_seconds
+    limits = _limits(args)
+    deadline = time.monotonic() + limits.max_seconds
     strategy = _strategy(args)
     spec = _load_problem(args)
     ctx = spec.build_context()
@@ -407,7 +413,7 @@ def _run_command(args) -> int:
     if spec.generators2:
         # the oracle compares against the full generated submodule
         gens = gens + [parse_element(t, ctx) for t in spec.generators2]
-    limits = Limits(args.max_insertions, deadline - time.monotonic())
+    limits = replace(limits, max_seconds=max(0.0, deadline - time.monotonic()))
 
     with contextlib.ExitStack() as stack:
         sink = None

@@ -7,21 +7,27 @@ to reduce, regular-reduces the rest in ascending order against the basis and
 the batch's earlier results, and inserts them with provenance recorded in a
 forest of reduction ancestry (the sigtree).  Termination rests on the
 well-formedness of that forest; the invariant can be asserted at loop heads
-in debug runs.
+in debug runs.  In a ring with the full monoid, a picked signature divisible
+by the signature of a principal (Koszul) syzygy between two nonzero members
+is inserted as a zero-part marker without being reduced.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
+from operator import sub
 from time import monotonic
 
+from .algebra import Element
 from .critical import CriticalQueue, critical_set, queue_update
 from .errors import CertificateError, ContractError, LimitExceeded, SigbasisError
-from .monomials import Monomial, divide
+from .monomials import Monomial, ScalarOrder, divide
 from .sigcore import (
     SigPair,
     SigSet,
+    _support_mask,
     find_regular_reducer,
     multiply,
     regular_normal_form_with_steps,
@@ -88,6 +94,14 @@ class Limits:
     max_insertions: int = 10**6
     max_seconds: float = 300.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.max_seconds) and self.max_seconds >= 0):
+            raise ContractError(
+                f"max_seconds must be finite and >= 0, got {self.max_seconds}"
+            )
+        if self.max_insertions < 0:
+            raise ContractError(f"max_insertions must be >= 0, got {self.max_insertions}")
+
 
 @dataclass(slots=True)
 class TreeNode:
@@ -131,6 +145,7 @@ class RunStats:
     zero_reductions: int = 0
     reduction_steps: int = 0
     peak_queue: int = 0
+    koszul_zeros: int = 0  # zero-part members inserted without a reduction
 
 
 @dataclass(slots=True)
@@ -247,6 +262,46 @@ class _TraceWriter:
         self.sink(out)
 
 
+class _KoszulSignatures:
+    """Leading signatures of the principal syzygies part(h)*u_g - part(g)*u_h.
+
+    One per pair of nonzero members whose two products lm(h)*sig(g) and
+    lm(g)*sig(h) differ (the larger leads), kept per signature slot as
+    (support mask, exponents).  Every multiple of one is a syzygy signature,
+    where the regular normal form is zero once G is complete below it.  The
+    syzygy needs every part monomial as a multiplier: full monoid, index-free
+    parts.
+    """
+
+    def __init__(self, sig_order):
+        self._key = sig_order.key
+        self._slots = {}
+
+    def add(self, h: SigPair, G: SigSet):
+        """Record h against every member of G, before h joins it."""
+        if h.part.is_zero:
+            return
+        key = self._key
+        hlm, hsig = h.part.lm, h.sig
+        for g in G.members:
+            if g.part.is_zero:
+                continue
+            s, t = g.sig.mul(hlm), hsig.mul(g.part.lm)
+            if s != t:
+                k = s if key(s) > key(t) else t
+                self._slots.setdefault(k.indices, []).append(
+                    (_support_mask(k.exps), k.exps)
+                )
+
+    def divides(self, sigma: Monomial) -> bool:
+        exps = sigma.exps
+        sigma_mask = _support_mask(exps)
+        for mask, k in self._slots.get(sigma.indices, ()):
+            if not mask & ~sigma_mask and min(map(sub, exps, k)) >= 0:
+                return True
+        return False
+
+
 def _check_invariant(G: SigSet, Q: CriticalQueue, pruned: bool, cache: dict):
     spec = G.monoid
     pending = Q.snapshot()
@@ -303,10 +358,15 @@ def run(
     stats = RunStats()
     rng = random.Random(pop_shuffle_seed) if pop_shuffle_seed is not None else None
     invariant_cache = {}
+    koszul = None
+    if ctx.monoid.kind == "full" and isinstance(ctx.order, ScalarOrder):
+        koszul = _KoszulSignatures(prebasis.sig_order)
 
     for i, g in enumerate(prebasis.members, start=1):
         if g.id != i:
             raise ContractError("prebasis ids must be 1..r in order")
+        if koszul is not None:
+            koszul.add(g, G)
         G.add(g)
         tree.add_node(g, parent=0, rank=0, edge=ctx.identity_monomial())
         queue_update(Q, g, G)
@@ -374,7 +434,11 @@ def run(
             # ids follow tree size so that batched insertions stay sequential
             # even before their sigpairs join G
             f = SigPair(reductant.part, sigma, len(tree.nodes))
-            g_new, steps = regular_normal_form_with_steps(f, G, fresh)
+            if koszul is not None and koszul.divides(sigma):
+                g_new, steps = SigPair(Element.zero(ctx), sigma, f.id), 0
+                stats.koszul_zeros += 1
+            else:
+                g_new, steps = regular_normal_form_with_steps(f, G, fresh)
             stats.reduction_steps += steps
             stats.insertions += 1
             if g_new.part.is_zero:
@@ -401,6 +465,8 @@ def run(
             tree.add_node(g_new, parent=node_k, rank=stats.iterations, edge=a)
             fresh.append(g_new)
         for g_new in fresh:
+            if koszul is not None:
+                koszul.add(g_new, G)
             G.add(g_new)
             queue_update(Q, g_new, G)
         stats.peak_queue = max(stats.peak_queue, len(Q))

@@ -280,6 +280,13 @@ class TestEmitters:
         assert payload["stats"]["insertions"] > 0
         assert all("@" in row for row in payload["basis"])
 
+    def test_json_stats_count_predicted_zeros(self, tmp_path):
+        out = tmp_path / "run.json"
+        argv = ["run", "--builtin", "katsura4", "--strategy", "f5", "--emit-json", str(out)]
+        assert main(argv) == 0
+        stats = json.loads(out.read_text())["stats"]
+        assert 0 < stats["koszul_zeros"] <= stats["zero_reductions"]
+
     def test_dot_contains_highlights_with_verify(self, tmp_path):
         out = tmp_path / "run.dot"
         assert (

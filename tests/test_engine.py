@@ -4,6 +4,7 @@ import pytest
 
 from conftest import elem, mono
 from sigbasis.algebra import Element
+from sigbasis.cli import parse_problem
 from sigbasis.engine import (
     Limits,
     SigTree,
@@ -25,8 +26,10 @@ from sigbasis.sigcore import (
     find_regular_reducer,
     make_prebasis_shifted,
     make_prebasis_unshifted,
+    multiply,
+    regular_normal_form_with_steps,
 )
-from sigbasis.systems import katsura
+from sigbasis.systems import builtin_problem, katsura
 from sigbasis.verify import buchberger, lm_ideal_equal
 
 ALL_STRATEGIES = [
@@ -240,6 +243,94 @@ class TestRun:
         assert lm_ideal_equal(lms, gb.lm_set(), spec)
 
 
+class TestLimits:
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0])
+    def test_bad_time_cap_rejected(self, seconds):
+        with pytest.raises(ContractError, match="max_seconds"):
+            Limits(max_seconds=seconds)
+
+    def test_negative_insertion_cap_rejected(self):
+        with pytest.raises(ContractError, match="max_insertions"):
+            Limits(max_insertions=-5)
+
+    def test_zero_caps_accepted(self, mora_prebasis):
+        with pytest.raises(LimitExceeded, match="insertion cap"):
+            run(mora_prebasis, Strategy.f5(), Limits(max_insertions=0, max_seconds=0.0))
+
+
+K4_TEXT = (
+    "a + 2*b + 2*c + 2*d - 1\n"
+    "b^2 + 2*a*c + 2*b*d - c\n"
+    "a*b + b*c + c*d - 1/2*b\n"
+    "a^2 + 2*b^2 + 2*c^2 + 2*d^2 - a\n"
+)
+
+
+class TestKoszulPrediction:
+    @pytest.mark.parametrize("strategy", [Strategy.in_order, Strategy.f5], ids=["in-order", "f5"])
+    @pytest.mark.parametrize("system", ["mora", "katsura4", "katsura5"])
+    def test_predicted_markers_reduce_to_zero(self, system, strategy):
+        # replay the reduction skipped at each predicted marker against the
+        # members that existed then: the regular normal form must be zero
+        ctx, gens = builtin_problem(system)
+        predicted_total = 0
+        for sig_order in ("top", "pot"):
+            for make in (make_prebasis_shifted, make_prebasis_unshifted):
+                rows = []
+                res = run(make(gens, sig_order), strategy(), trace=rows.append)
+                B, nodes = res.basis, res.tree.nodes
+                by_id = {m.id: m for m in B.members}
+                predicted = [
+                    r["node"] for r in rows if r["event"] == "insert" and r["steps"] == 0
+                ]
+                assert len(predicted) == res.stats.koszul_zeros
+                for idx in predicted:
+                    assert by_id[idx].part.is_zero
+                    node = nodes[idx]
+                    reductant = multiply(node.edge, nodes[node.parent].label)
+                    earlier = SigSet(B.ctx, B.sig_order, [m for m in B.members if m.id < idx])
+                    nf, steps = regular_normal_form_with_steps(
+                        SigPair(reductant.part, by_id[idx].sig, idx), earlier
+                    )
+                    assert nf.part.is_zero and steps > 0
+                predicted_total += len(predicted)
+        assert predicted_total > 0
+
+    # (iterations, insertions, zero reductions, reduction steps, peak queue),
+    # the same as without the prediction: it needs the full monoid and
+    # index-free parts
+    @pytest.mark.parametrize(
+        "text, strategy, counters",
+        [
+            (
+                "vars: d c b a\nfield: GF 32003\nsetting: monoid degmin=2\ngens:\n"
+                + K4_TEXT,
+                Strategy.f5(),
+                (334, 150, 124, 2512, 265),
+            ),
+            (
+                "vars: d c b a\nfield: GF 32003\nsetting: monoid "
+                "generated=d^2,c*d,b*d,a*d,c^2,b*c,a*c,b^2,a*b,a^2\ngens:\n" + K4_TEXT,
+                Strategy.min_lm(),
+                (58, 25, 15, 467, 31),
+            ),
+            (
+                "vars: x y\nsetting: module rank=2 order=pot\ngens:\n"
+                "x^2*e_1 - y*e_2\nx*y*e_1 + y^2*e_2\ny^3*e_1 - x*e_2 + e_1\n",
+                Strategy.f5(),
+                (6, 4, 1, 6, 3),
+            ),
+        ],
+        ids=["degree-truncated", "generated", "rank-2-module"],
+    )
+    def test_off_outside_full_monoid_rings(self, text, strategy, counters):
+        spec = parse_problem(text)
+        ctx = spec.build_context()
+        s = run(make_prebasis_shifted(spec.build_generators(ctx), "top"), strategy).stats
+        got = (s.iterations, s.insertions, s.zero_reductions, s.reduction_steps, s.peak_queue)
+        assert s.koszul_zeros == 0 and got == counters
+
+
 class TestCertificate:
     def test_fails_on_input_prebasis(self, mora_prebasis, mora_ctx):
         report = faugere_certificate(mora_prebasis)
@@ -319,16 +410,16 @@ class TestStrategyAgreement:
     @pytest.mark.parametrize(
         "strategy, sig_order, counters",
         [
-            (Strategy.in_order(), "top", (27, 16, 11, 262, 19)),
-            (Strategy.min_lm(), "top", (27, 12, 7, 151, 19)),
-            (Strategy.f5(), "top", (27, 12, 7, 151, 19)),
-            (Strategy.f5_pruned(), "top", (13, 12, 7, 151, 5)),
-            (Strategy.f4(4), "top", (8, 17, 11, 267, 18)),
-            (Strategy.in_order(), "pot", (31, 18, 12, 275, 18)),
-            (Strategy.min_lm(), "pot", (31, 13, 7, 139, 18)),
-            (Strategy.f5(), "pot", (31, 13, 7, 139, 18)),
-            (Strategy.f5_pruned(), "pot", (14, 13, 7, 139, 4)),
-            (Strategy.f4(4), "pot", (11, 23, 14, 346, 22)),
+            (Strategy.in_order(), "top", (27, 16, 11, 30, 19)),
+            (Strategy.min_lm(), "top", (27, 12, 7, 30, 19)),
+            (Strategy.f5(), "top", (27, 12, 7, 30, 19)),
+            (Strategy.f5_pruned(), "top", (13, 12, 7, 30, 5)),
+            (Strategy.f4(4), "top", (8, 17, 11, 35, 18)),
+            (Strategy.in_order(), "pot", (31, 18, 12, 30, 18)),
+            (Strategy.min_lm(), "pot", (31, 13, 7, 30, 18)),
+            (Strategy.f5(), "pot", (31, 13, 7, 30, 18)),
+            (Strategy.f5_pruned(), "pot", (14, 13, 7, 30, 4)),
+            (Strategy.f4(4), "pot", (10, 24, 17, 35, 17)),
         ],
     )
     def test_katsura4_counters(self, strategy, sig_order, counters):
