@@ -14,7 +14,6 @@ from .algebra import (
     PrimeField,
     RationalField,
     bounded_span_pivots,
-    membership_bounded,
     top_reduce_step,
 )
 from .critical import CriticalQueue, critical_pair_signatures, critical_set, queue_update
@@ -45,7 +44,6 @@ from .monomials import (
     ZERO,
     divide,
     minimal_common_multiples,
-    monoid_member,
 )
 from .sigcore import (
     SigPair,
@@ -66,7 +64,6 @@ from .verify import (
     buchberger,
     is_groebner_basis,
     lm_ideal_equal,
-    prebasis_spotcheck_P2,
 )
 
 __version__ = "0.1.0"

@@ -11,6 +11,10 @@ element and each reducer are cleared of denominators, combined with integer
 cofactors, and divided by their content, while one exact rational scale
 tracks the factor taken out; the result becomes rational once, at the end.
 Over GF(p) it runs the field loop of ``top_reduce_step``.
+
+It is the library's one exact elimination.  ``SpanEchelon`` builds the
+echelon of a span incrementally on it, keeping one top-reduced row per
+leading monomial, and the bounded checks in ``verify`` run on that.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ __all__ = [
     "normal_form_with_steps",
     "SpanEchelon",
     "bounded_span_pivots",
-    "membership_bounded",
 ]
 
 
@@ -222,15 +225,6 @@ class Element:
     def degree(self) -> int:
         """Max total degree over the support; -1 for the zero element."""
         return max((m.degree for _, m, _ in self.terms), default=-1)
-
-    def coefficient(self, m: Monomial):
-        for _, mono, c in self.terms:
-            if mono == m:
-                return c
-        return self.ctx.field.zero
-
-    def monomials(self):
-        return [m for _, m, _ in self.terms]
 
     def scale(self, lam) -> "Element":
         field = self.ctx.field
@@ -431,128 +425,31 @@ def _fraction_free_normal_form(f: Element, admit) -> tuple[Element, int]:
 
 
 class SpanEchelon:
-    """Exact row echelon form of the linear span of a finite element list.
+    """Incremental sparse echelon of a span: one row per leading monomial.
 
-    Rationals are cleared to integers and eliminated fraction-free with
-    content stripping; prime fields are eliminated modulo p.
+    Each fed element is top-reduced by ``normal_form_with_steps`` against the
+    rows kept so far, and a nonzero remainder is kept under its leading
+    monomial.  The kept rows have distinct leading monomials and span what
+    was fed, so those monomials are the pivots of the span.
     """
 
-    def __init__(self, rows, ctx: Context):
-        self.ctx = ctx
-        self._mod = ctx.field.p if isinstance(ctx.field, PrimeField) else None
-        cols = set()
-        live = []
+    def __init__(self, rows=()):
+        self.rows = {}
         for r in rows:
-            if r.is_zero:
-                continue
-            live.append(r)
-            cols.update(r.monomials())
-        key = ctx.order.key
-        self.columns = sorted(cols, key=key, reverse=True)
-        self._col_index = {m: i for i, m in enumerate(self.columns)}
-        mat = [self._vectorize(r) for r in live]
-        self._rows, self._pivots = self._eliminate(mat)
+            self.residue_vector(r)
 
-    def _vectorize(self, f: Element):
-        index = self._col_index
-        v = [0] * len(index)
-        if self._mod is None:
-            for _, m, c in _cleared(f.terms)[0]:
-                v[index[m]] = c
-        else:
-            for _, m, c in f.terms:
-                v[index[m]] = c % self._mod
-        return v
+    def residue_vector(self, f: Element) -> Element:
+        """Top-reduce f against the rows and keep a nonzero remainder.
 
-    def _strip_content(self, v):
-        g = _content(v)
-        if g > 1:
-            return [x // g for x in v]
-        return v
-
-    def _eliminate(self, mat):
-        ncols = len(self.columns)
-        echelon = []
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            pivot_row = None
-            for i in range(r, len(mat)):
-                if mat[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-            prow = mat[r]
-            if self._mod is not None:
-                inv = pow(prow[c], -1, self._mod)
-                prow = [(x * inv) % self._mod for x in prow]
-                mat[r] = prow
-            for i in range(r + 1, len(mat)):
-                if mat[i][c]:
-                    mat[i] = self._combine(mat[i], prow, c)
-            echelon.append(prow)
-            pivots.append(c)
-            r += 1
-            if r == len(mat):
-                break
-        return echelon, pivots
-
-    def _combine(self, row, prow, c):
-        if self._mod is not None:
-            f = row[c]
-            return [(x - f * y) % self._mod for x, y in zip(row, prow)]
-        a, b = prow[c], row[c]
-        return self._strip_content([a * x - b * y for x, y in zip(row, prow)])
+        The remainder is zero exactly when f lies in the span fed so far.
+        """
+        r, _ = normal_form_with_steps(f, self.rows.get)
+        if r.terms:
+            self.rows[r.lm] = r
+        return r
 
     def pivot_monomials(self):
-        return [self.columns[c] for c in self._pivots]
-
-    def residue_vector(self, f: Element):
-        """Reduce f against the echelon; exact up to a nonzero scalar."""
-        outside = [m for m in f.monomials() if m not in self._col_index]
-        v = self._vectorize(
-            Element.from_terms(
-                self.ctx, [(m, c) for _, m, c in f.terms if m in self._col_index]
-            )
-        )
-        for prow, c in zip(self._rows, self._pivots):
-            if v[c]:
-                v = self._combine(v, prow, c)
-        return v, outside
-
-    def contains(self, f: Element) -> bool:
-        if f.is_zero:
-            return True
-        v, outside = self.residue_vector(f)
-        return not outside and not any(v)
-
-    def residue(self, f: Element) -> Element:
-        """A representative of f modulo the span (scaled by a nonzero constant)."""
-        if f.is_zero:
-            return f
-        v, outside = self.residue_vector(f)
-        field = self.ctx.field
-        pairs = [(m, f.coefficient(m)) for m in outside]
-        for m, x in zip(self.columns, v):
-            if x:
-                pairs.append((m, field.from_int(x)))
-        return Element.from_terms(self.ctx, pairs)
-
-
-def _monoid_products(gens, D: int, spec: MonoidSpec):
-    rows = []
-    for g in gens:
-        if g.is_zero:
-            continue
-        budget = D - g.degree
-        if budget < 0:
-            continue
-        width = g.ctx.width
-        for a in spec.elements_up_to(width, budget):
-            rows.append(g.mul_monomial(Monomial(a)))
-    return rows
+        return list(self.rows)
 
 
 def bounded_span_pivots(gens, D: int, spec: MonoidSpec):
@@ -563,19 +460,10 @@ def bounded_span_pivots(gens, D: int, spec: MonoidSpec):
     top = max(g.degree for g in gens)
     if D < top:
         raise ContractError(f"degree bound {D} below max generator degree {top}")
-    ctx = gens[0].ctx
-    ech = SpanEchelon(_monoid_products(gens, D, spec), ctx)
+    ech = SpanEchelon(
+        g.mul_monomial(Monomial(a))
+        for g in gens
+        if not g.is_zero
+        for a in spec.elements_up_to(g.ctx.width, D - g.degree)
+    )
     return set(ech.pivot_monomials())
-
-
-def membership_bounded(f: Element, gens, D: int, spec: MonoidSpec) -> bool:
-    """Exact test: f in the span of all monoid multiples of gens of degree <= D."""
-    if f.is_zero:
-        return True
-    if f.degree > D:
-        raise ContractError("element degree exceeds the bound")
-    gens = list(gens)
-    if not gens:
-        return False
-    ech = SpanEchelon(_monoid_products(gens, D, spec), f.ctx)
-    return ech.contains(f)

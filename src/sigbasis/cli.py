@@ -439,6 +439,18 @@ def _run_command(args) -> int:
         f"{result.stats.reduction_steps} reduction steps"
     )
 
+    # the deep checks run first, so a degree bound they refuse costs no oracle
+    deep = []
+    if args.verify_deep is not None:
+        deep_d = args.verify_deep
+        sig_report = bounded_signature_basis_check(
+            result.basis, deep_d, deadline=deadline
+        )
+        deep.append(("signature-slices", sig_report.ok))
+        if spec.sig_init == "shifted":
+            syz_report = bounded_syzygy_check(gens, result, deep_d, deadline=deadline)
+            deep.append(("syzygy-cover", syz_report.ok))
+
     failed = False
     oracle_lms = None
     if args.verify or args.verify_deep is not None:
@@ -457,17 +469,9 @@ def _run_command(args) -> int:
             f"oracle-lm-ideal={'pass' if lm_ok else 'FAIL'}"
         )
         failed = not (cert.ok and not tree_report and edge_ok and lm_ok)
-    if args.verify_deep is not None:
-        deep_d = args.verify_deep
-        sig_report = bounded_signature_basis_check(
-            result.basis, deep_d, deadline=deadline
-        )
-        print(f"verify-deep: signature-slices={'pass' if sig_report.ok else 'FAIL'}")
-        failed = failed or not sig_report.ok
-        if spec.sig_init == "shifted":
-            syz_report = bounded_syzygy_check(gens, result, deep_d, deadline=deadline)
-            print(f"verify-deep: syzygy-cover={'pass' if syz_report.ok else 'FAIL'}")
-            failed = failed or not syz_report.ok
+    for name, ok in deep:
+        print(f"verify-deep: {name}={'pass' if ok else 'FAIL'}")
+        failed = failed or not ok
 
     if args.emit_dot:
         highlight = frozenset(oracle_lms) if oracle_lms else frozenset()

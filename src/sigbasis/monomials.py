@@ -29,7 +29,6 @@ __all__ = [
     "MCMResult",
     "divide",
     "divides_exponentwise",
-    "monoid_member",
     "minimal_common_multiples",
 ]
 
@@ -72,11 +71,6 @@ class Monomial:
         if self.is_zero:
             raise ContractError("the zero monomial takes no module position")
         return Monomial(self.exps, self.indices + (i,))
-
-    def drop_slot(self) -> "Monomial":
-        if not self.indices:
-            raise ContractError("no module position to drop")
-        return Monomial(self.exps, self.indices[:-1])
 
     def __repr__(self):
         if self.is_zero:
@@ -314,15 +308,6 @@ def _vectors_of_degree(width: int, degree: int):
     for head in range(degree, -1, -1):
         for tail in _vectors_of_degree(width - 1, degree - head):
             yield (head,) + tail
-
-
-def monoid_member(m: Monomial, spec: MonoidSpec) -> bool:
-    """Membership of an index-free monomial in the multiplier monoid."""
-    if m.is_zero:
-        return False
-    if m.indices:
-        raise StructureError("monoid membership is defined for index-free monomials")
-    return spec.member(m.exps)
 
 
 def divide(m: Monomial, n: Monomial, spec: MonoidSpec):

@@ -9,7 +9,13 @@ coprime leading monomials.  The product criterion needs commuting operands,
 so it is applied to ring elements only, never to module elements.  In a
 restricted monoid every minimal common multiple is reduced.  The reduced
 output is unique, which makes it a stable fixture source for comparing
-engine runs.
+engine runs.  The oracle reduces with ``Element.sub_scaled`` only, so it
+shares no reduction kernel with the engine.
+
+The bounded checks are exact linear algebra over degree-bounded slices.
+Each feeds its products, in signature order, into one incremental
+``SpanEchelon`` (top reduction by ``normal_form_with_steps``), so a whole
+check costs one elimination, not one per signature.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from heapq import heappop, heappush
 from operator import add
 from time import monotonic
 
-from .algebra import Element, SpanEchelon, normal_form_with_steps
+from .algebra import Element, SpanEchelon
 from .errors import ContractError, LimitExceeded
 from .monomials import Monomial, divide, divides_exponentwise, minimal_common_multiples
 from .sigcore import SigSet
@@ -31,7 +37,6 @@ __all__ = [
     "lm_ideal_equal",
     "bounded_signature_basis_check",
     "bounded_syzygy_check",
-    "prebasis_spotcheck_P2",
 ]
 
 
@@ -236,32 +241,17 @@ class CheckReport:
         return self.ok
 
 
-def _signature_slice_rows(G: SigSet, sigma_key, D: int):
-    """Products a*g with shifted signature <= sigma and part degree <= D."""
-    spec = G.monoid
-    skey = G.sig_order.key
-    rows = []
-    for g in G.members:
-        if g.part.is_zero:
-            continue
-        budget = D - g.part.degree
-        if budget < 0:
-            continue
-        for a in spec.elements_up_to(len(g.sig.exps), budget):
-            am = Monomial(a)
-            if skey(g.sig.mul(am)) <= sigma_key:
-                rows.append(g.part.mul_monomial(am))
-    return rows
-
-
 def bounded_signature_basis_check(
     G: SigSet, D: int, max_signatures: int = 4000, *, deadline: float | None = None
 ) -> CheckReport:
     """Echelon-pivot check of every signature slice up to degree D.
 
-    For each reachable signature, each pivot of the slice spanned by the
-    admissible products must be the leading monomial of one of those
-    products; a pivot that no admissible product reaches is a violation.
+    For each reachable signature sigma, each pivot of the slice spanned by
+    the admissible products a*g (shifted signature <= sigma, part degree
+    <= D) must be the leading monomial of one of those products; a pivot
+    that no admissible product reaches is a violation.  The slices only grow
+    with sigma, so one ``SpanEchelon`` takes the products in signature order
+    and the unreached pivots are kept as the walk goes.
     """
     top = max((g.part.degree for g in G.members if not g.part.is_zero), default=0)
     if D < top:
@@ -278,17 +268,32 @@ def bounded_signature_basis_check(
         raise ContractError(
             f"{len(sigmas)} signatures exceed the cap {max_signatures}"
         )
+    products = []
+    for g in G.members:
+        if g.part.is_zero:
+            continue
+        for a in spec.elements_up_to(len(g.sig.exps), D - g.part.degree):
+            am = Monomial(a)
+            products.append((skey(g.sig.mul(am)), g.part, am))
+    products.sort(key=lambda p: p[0])
+    ech = SpanEchelon()
+    reached, unreached = set(), set()
+    fed = 0
     violations = []
     for sigma, sigma_key in sorted(sigmas.items(), key=lambda kv: kv[1]):
         _check_deadline(deadline)
-        rows = _signature_slice_rows(G, sigma_key, D)
-        if not rows:
-            continue
-        ech = SpanEchelon(rows, G.ctx)
-        reachable = {r.lm for r in rows}
-        for pivot in ech.pivot_monomials():
-            if pivot not in reachable:
-                violations.append((sigma, pivot))
+        while fed < len(products) and products[fed][0] <= sigma_key:
+            _, part, am = products[fed]
+            fed += 1
+            row = part.mul_monomial(am)
+            reached.add(row.lm)
+            unreached.discard(row.lm)
+            r = ech.residue_vector(row)
+            if not r.is_zero and r.lm not in reached:
+                unreached.add(r.lm)
+        violations.extend(
+            (sigma, p) for p in sorted(unreached, key=G.ctx.order.key, reverse=True)
+        )
     return CheckReport(not violations, violations)
 
 
@@ -316,14 +321,11 @@ def bounded_syzygy_check(
             entries.append((skey(shifted), shifted, am, g))
     entries.sort(key=lambda e: e[0])
     kernel_lms = []
-    pivots = {}
+    ech = SpanEchelon()
     for _, shifted, am, g in entries:
         _check_deadline(deadline)
-        v, _ = normal_form_with_steps(g.mul_monomial(am), pivots.get)
-        if v.is_zero:
+        if ech.residue_vector(g.mul_monomial(am)).is_zero:
             kernel_lms.append(shifted)
-        else:
-            pivots[v.lm] = v
     syz = result.syzygies
     violations = [
         s
@@ -331,48 +333,3 @@ def bounded_syzygy_check(
         if not any(divide(t, s, spec) is not None for t in syz)
     ]
     return CheckReport(not violations, violations, details=tuple(kernel_lms))
-
-
-def prebasis_spotcheck_P2(G: SigSet, sigma: Monomial, D: int) -> bool:
-    """Substitutability probe at one signature.
-
-    Takes the first two distinct realizations of sigma, reduces both against
-    the span of the strictly-smaller slice, and reports whether some nonzero
-    scalar makes the difference land in that span.  Vacuously true when the
-    signature has fewer than two realizations.
-    """
-    spec = G.monoid
-    skey = G.sig_order.key
-    sigma_key = skey(sigma)
-    realizations = []
-    for g in G.members:
-        a = divide(g.sig, sigma, spec)
-        if a is not None:
-            realizations.append(g.part.mul_monomial(a) if a.degree else g.part)
-        if len(realizations) == 2:
-            break
-    if len(realizations) < 2:
-        return True
-    f, g = realizations
-    rows = []
-    for m in G.members:
-        if m.part.is_zero:
-            continue
-        budget = D - m.part.degree
-        if budget < 0:
-            continue
-        for a in spec.elements_up_to(len(sigma.exps), budget):
-            am = Monomial(a)
-            if skey(m.sig.mul(am)) < sigma_key:
-                rows.append(m.part.mul_monomial(am))
-    ech = SpanEchelon(rows, G.ctx)
-    rf = ech.residue(f)
-    rg = ech.residue(g)
-    if rf.is_zero and rg.is_zero:
-        return True
-    if rf.is_zero or rg.is_zero:
-        return False
-    if rf.lm != rg.lm:
-        return False
-    lam = G.ctx.field.div(rf.lc, rg.lc)
-    return rf.sub_scaled(rg, lam).is_zero

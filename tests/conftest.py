@@ -94,7 +94,7 @@ def element_rows_to_dicts(rows):
 def dense_pivots_of_elements(rows, ctx):
     cols = set()
     for r in rows:
-        cols.update(r.monomials())
+        cols.update(m for _, m, _ in r.terms)
     columns = sorted(cols, key=ctx.order.key, reverse=True)
     pivots, _ = dense_pivots(element_rows_to_dicts(rows), columns)
     return set(pivots)
@@ -103,9 +103,9 @@ def dense_pivots_of_elements(rows, ctx):
 def dense_membership(f, rows, ctx):
     """f in span(rows), by appending f and comparing ranks."""
     base = dense_pivots_of_elements(rows, ctx)
-    cols = set(f.monomials())
+    cols = {m for _, m, _ in f.terms}
     for r in rows:
-        cols.update(r.monomials())
+        cols.update(m for _, m, _ in r.terms)
     columns = sorted(cols, key=ctx.order.key, reverse=True)
     with_f, _ = dense_pivots(element_rows_to_dicts(rows + [f]), columns)
     return len(with_f) == len(base)

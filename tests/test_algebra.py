@@ -17,8 +17,8 @@ from sigbasis.algebra import (
     Element,
     PrimeField,
     RationalField,
+    SpanEchelon,
     bounded_span_pivots,
-    membership_bounded,
     normal_form_with_steps,
     top_reduce_step,
 )
@@ -118,7 +118,8 @@ class TestNormalForm:
 
         f = elem(mora_ctx, "x^2*y^5 + y^2")
         out = normal_form_with_steps(f, admit)[0]
-        assert membership_bounded(f.sub(out), mora_gens, 8, spec)
+        rows = monoid_products(mora_gens, 8, spec)
+        assert dense_membership(f.sub(out), rows, mora_ctx)
 
 
 def field_loop_normal_form(f, admit):
@@ -291,24 +292,39 @@ class TestBoundedSpanPivots:
                 assert shifted in small
 
 
+def monoid_products(gens, D, spec):
+    return [
+        g.mul_monomial(Monomial(a))
+        for g in gens
+        for a in spec.elements_up_to(g.ctx.width, D - g.degree)
+    ]
+
+
 class TestMembershipBounded:
+    """Membership in a bounded span: the echelon's residue is zero."""
+
     def test_zero_always_member(self, mora_ctx):
-        assert membership_bounded(Element.zero(mora_ctx), [], 3, mora_ctx.monoid)
+        assert SpanEchelon().residue_vector(Element.zero(mora_ctx)).is_zero
 
     def test_simple_multiple(self, univar_ctx):
-        gens = [elem(univar_ctx, "x - 1")]
-        assert membership_bounded(elem(univar_ctx, "x^2 - x"), gens, 2, univar_ctx.monoid)
+        rows = monoid_products([elem(univar_ctx, "x - 1")], 2, univar_ctx.monoid)
+        assert SpanEchelon(rows).residue_vector(elem(univar_ctx, "x^2 - x")).is_zero
 
     def test_constant_not_in_span(self, univar_ctx):
         # frozen against the dense oracle below
-        gens = [elem(univar_ctx, "x - 1")]
-        assert not membership_bounded(elem(univar_ctx, "1"), gens, 5, univar_ctx.monoid)
+        rows = monoid_products([elem(univar_ctx, "x - 1")], 5, univar_ctx.monoid)
+        assert not SpanEchelon(rows).residue_vector(elem(univar_ctx, "1")).is_zero
 
     def test_against_dense_oracle(self, univar_ctx):
         gens = [elem(univar_ctx, "x - 1")]
         rows = [gens[0].mul_monomial(Monomial((k,))) for k in range(5)]
         assert dense_membership(elem(univar_ctx, "1"), rows, univar_ctx) is False
         assert dense_membership(elem(univar_ctx, "x^2 - x"), rows, univar_ctx) is True
+        # f is in the span exactly when it adds no pivot
+        pivots = bounded_span_pivots(gens, 5, univar_ctx.monoid)
+        assert pivots == dense_pivots_of_elements(rows, univar_ctx)
+        assert dense_pivots_of_elements(rows + [elem(univar_ctx, "1")], univar_ctx) != pivots
+        assert dense_pivots_of_elements(rows + [elem(univar_ctx, "x^2 - x")], univar_ctx) == pivots
 
 
 class TestPrimeField:

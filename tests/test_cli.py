@@ -242,6 +242,22 @@ class TestMainExitCodes:
         assert code == 0
         out = capsys.readouterr().out
         assert "signature-slices=pass" in out and "syzygy-cover=pass" in out
+        heads = [line.split(":")[0] for line in out.splitlines()]
+        assert heads == ["basis", "verify", "verify-deep", "verify-deep"]
+
+    def test_verify_deep_bound_refused_before_oracle(self, monkeypatch, capsys):
+        from sigbasis import cli
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran before the degree bound was checked")
+
+        monkeypatch.setattr(cli, "buchberger", no_oracle)
+        argv = ["run", "--builtin", "mora", "--verify", "--verify-deep", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "verify:" not in captured.out
+        assert captured.err.startswith("error: degree bound 1 below max part degree")
+        assert captured.err.count("\n") == 1
 
 
 class TestEmitters:

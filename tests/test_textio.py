@@ -77,7 +77,7 @@ class TestElements:
         ctx = Context(("x",), ScalarOrder("degrevlex", ("x",)), MonoidSpec.full(), gf)
         f = parse_element("5*x + 1/2", ctx)
         # 1/2 = 4 mod 7
-        assert f.coefficient(Monomial((0,))) == 4
+        assert f.terms[-1][1:] == (Monomial((0,)), 4)
         assert render_element(f) == "5*x + 4"
 
     def test_roundtrip_random(self, mora_ctx):

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from conftest import elem, load_fixture, mono
+from conftest import dense_pivots_of_elements, elem, load_fixture, mono
 from sigbasis.algebra import Context, PrimeField, RationalField
+from sigbasis.cli import parse_problem
 from sigbasis.engine import Strategy, run
 from sigbasis import verify
 from sigbasis.errors import ContractError, LimitExceeded
 from sigbasis.monomials import Monomial, ModuleOrder, MonoidSpec, ScalarOrder
-from sigbasis.sigcore import SigPair, SigSet, make_prebasis_shifted
+from sigbasis.sigcore import make_prebasis_shifted, make_prebasis_unshifted
 from sigbasis.systems import katsura, mora_context, mora_generators
 from sigbasis.textio import parse_element, render_element, render_monomial
 from sigbasis.verify import (
@@ -19,7 +20,6 @@ from sigbasis.verify import (
     buchberger,
     is_groebner_basis,
     lm_ideal_equal,
-    prebasis_spotcheck_P2,
 )
 from test_differential import random_system
 
@@ -214,6 +214,42 @@ class TestLmIdealEqual:
                         assert lm_ideal_equal(A, C, full)
 
 
+MORA_Q = """\
+vars: y x
+field: Q
+setting: ring
+gens:
+x^2*y^2 - 1
+y^5 - x^2*y
+x^5 - x*y^2
+"""
+
+
+def reference_violations(G, D):
+    """The check's definition, slice by slice: each signature's slice is
+    rebuilt from the products and row-reduced by the dense oracle, and its
+    pivots that no product's leading monomial reaches are listed in
+    descending order."""
+    spec, skey, okey = G.monoid, G.sig_order.key, G.ctx.order.key
+    sigmas = {
+        g.sig.mul(Monomial(a))
+        for g in G.members
+        for a in spec.elements_up_to(len(g.sig.exps), max(D - g.sig.degree, 0))
+    }
+    products = [
+        (skey(g.sig.mul(Monomial(a))), g.part.mul_monomial(Monomial(a)))
+        for g in G.members
+        if not g.part.is_zero
+        for a in spec.elements_up_to(len(g.sig.exps), D - g.part.degree)
+    ]
+    out = []
+    for sigma in sorted(sigmas, key=skey):
+        rows = [row for k, row in products if k <= skey(sigma)]
+        unreached = dense_pivots_of_elements(rows, G.ctx) - {row.lm for row in rows}
+        out.extend((sigma, p) for p in sorted(unreached, key=okey, reverse=True))
+    return out
+
+
 @pytest.fixture(scope="module")
 def mora_run(mora_gens):
     return run(make_prebasis_shifted(mora_gens, "top"), Strategy.in_order())
@@ -237,6 +273,22 @@ class TestBoundedSignatureBasisCheck:
         assert any(key(sigma) <= threshold for sigma, _ in report.violations)
         # the missing pivot at the first bad signature is x^4*y
         assert (mono(mora_ctx, 5, 2, slot=2), mono(mora_ctx, 1, 4)) in report.violations
+
+    @pytest.mark.parametrize(
+        "init, order, monoid",
+        [("shifted", "top", None), ("unshifted", "pot", None), ("shifted", "top", "degmin=2")],
+    )
+    def test_violations_match_dense_slices(self, init, order, monoid):
+        text = MORA_Q if monoid is None else MORA_Q.replace("ring", f"monoid {monoid}")
+        spec = parse_problem(text)
+        gens = spec.build_generators(spec.build_context())
+        make = make_prebasis_shifted if init == "shifted" else make_prebasis_unshifted
+        G = make(gens, order)
+        if monoid is not None:
+            G = run(G, Strategy.f5()).basis  # the known wrong answer
+        expected = reference_violations(G, 8)
+        assert expected
+        assert bounded_signature_basis_check(G, 8).violations == expected
 
     def test_signature_cap_guard(self, mora_gens):
         G = make_prebasis_shifted(mora_gens, "top")
@@ -278,8 +330,6 @@ class TestBoundedSyzygyCheck:
         )
 
     def test_requires_shifted_run(self, mora_gens):
-        from sigbasis.sigcore import make_prebasis_unshifted
-
         res = run(make_prebasis_unshifted(mora_gens, "top"), Strategy.in_order())
         with pytest.raises(ContractError):
             bounded_syzygy_check(mora_gens, res, 8)
@@ -290,27 +340,3 @@ class TestBoundedSyzygyCheck:
             bounded_syzygy_check(mora_gens, mora_run, 8, deadline=0.0)
 
 
-class TestPrebasisSpotcheckP2:
-    def test_shifted_vacuous(self, mora_gens, mora_ctx):
-        G = make_prebasis_shifted(mora_gens, "top")
-        assert prebasis_spotcheck_P2(G, mono(mora_ctx, 5, 2, slot=2), 8)
-
-    def test_consistent_pair(self, univar_ctx):
-        members = [
-            SigPair(elem(univar_ctx, "x - 1"), Monomial((1,)).with_slot(1), 1),
-            SigPair(elem(univar_ctx, "x^2 - x"), Monomial((2,)).with_slot(1), 2),
-        ]
-        order = ModuleOrder(univar_ctx.order, "top", 1)
-        G = SigSet(univar_ctx, order, members)
-        assert prebasis_spotcheck_P2(G, Monomial((2,)).with_slot(1), 4)
-
-    def test_adversarial_pair_rejected(self, univar_ctx):
-        # frozen by hand: x(x-1) - lam(x+1) is never a multiple of (x-1)
-        # in the strictly-smaller slice, for any lam
-        members = [
-            SigPair(elem(univar_ctx, "x - 1"), Monomial((1,)).with_slot(1), 1),
-            SigPair(elem(univar_ctx, "x + 1"), Monomial((2,)).with_slot(1), 2),
-        ]
-        order = ModuleOrder(univar_ctx.order, "top", 1)
-        G = SigSet(univar_ctx, order, members)
-        assert not prebasis_spotcheck_P2(G, Monomial((2,)).with_slot(1), 4)
