@@ -242,10 +242,6 @@ class Element:
         inv = field.div(field.one, lc)
         return self.scale(inv)
 
-    def neg(self) -> "Element":
-        field = self.ctx.field
-        return Element(self.ctx, tuple((k, m, field.neg(c)) for k, m, c in self.terms))
-
     def mul_monomial(self, a: Monomial) -> "Element":
         """Left action by an index-free monomial; order is preserved by M2."""
         if a.is_zero:
@@ -295,12 +291,6 @@ class Element:
         for kj, mj, cj in b[j:]:
             out.append((kj, mj, field.neg(field.mul(lam, cj))))
         return Element(self.ctx, tuple(out))
-
-    def add(self, other: "Element") -> "Element":
-        return self.sub_scaled(other, self.ctx.field.neg(self.ctx.field.one))
-
-    def sub(self, other: "Element") -> "Element":
-        return self.sub_scaled(other, self.ctx.field.one)
 
     def __eq__(self, other):
         return (

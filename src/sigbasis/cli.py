@@ -26,7 +26,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .algebra import Context, PrimeField, RationalField
 from .engine import (
@@ -65,10 +65,11 @@ from .verify import (
     bounded_signature_basis_check,
     bounded_syzygy_check,
     buchberger,
+    is_groebner_basis,
     lm_ideal_equal,
 )
 
-__all__ = ["ProblemSpec", "parse_problem", "render_problem", "main"]
+__all__ = ["ProblemSpec", "parse_problem", "main"]
 
 _VAR_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
 
@@ -206,7 +207,7 @@ def parse_problem(text: str) -> ProblemSpec:
         raise ParseError(f"unknown order {order!r}")
     fld = _parse_field(take("field", "q"))
     setting = take("setting", "ring")
-    if setting.split()[0] not in ("ring", "module", "monoid"):
+    if setting.split()[:1] not in (["ring"], ["module"], ["monoid"]):
         raise ParseError(f"unknown setting {setting!r}")
     sig_order = take("sig_order", "top")
     if sig_order not in ("top", "pot"):
@@ -238,24 +239,6 @@ def parse_problem(text: str) -> ProblemSpec:
     )
 
 
-def render_problem(spec: ProblemSpec) -> str:
-    field_text = "Q" if spec.field == "q" else f"GF {spec.field.split(':')[1]}"
-    lines = [
-        f"vars: {' '.join(spec.variables)}",
-        f"order: {spec.order}",
-        f"field: {field_text}",
-        f"setting: {spec.setting}",
-        f"sig_order: {spec.sig_order}",
-        f"sig_init: {spec.sig_init}",
-        "gens:",
-    ]
-    lines.extend(spec.generators)
-    if spec.generators2:
-        lines.append("gens2:")
-        lines.extend(spec.generators2)
-    return "\n".join(lines) + "\n"
-
-
 def _build_prebasis(spec: ProblemSpec, ctx, gens):
     if spec.sig_init == "shifted":
         return make_prebasis_shifted(gens, spec.sig_order)
@@ -264,7 +247,11 @@ def _build_prebasis(spec: ProblemSpec, ctx, gens):
     if not spec.generators2:
         raise ParseError("sum initialization needs a 'gens2:' block")
     gens2 = [parse_element(t, ctx) for t in spec.generators2]
-    return make_prebasis_sum(gens, gens2, spec.sig_order, check=True)
+    prebasis = make_prebasis_sum(gens, gens2, spec.sig_order)
+    for side, block in (("first", gens), ("second", gens2)):
+        if not is_groebner_basis(block, ctx.monoid):
+            raise ContractError(f"the {side} generator set is not a Groebner basis")
+    return prebasis
 
 
 def _result_json(result, spec: ProblemSpec, variables) -> dict:
@@ -283,14 +270,7 @@ def _result_json(result, spec: ProblemSpec, variables) -> dict:
             render_monomial(s, variables) for s in result.syzygies
         ),
         "redundant_member_ids": dominated_members(basis),
-        "stats": {
-            "iterations": result.stats.iterations,
-            "insertions": result.stats.insertions,
-            "zero_reductions": result.stats.zero_reductions,
-            "reduction_steps": result.stats.reduction_steps,
-            "peak_queue": result.stats.peak_queue,
-            "koszul_zeros": result.stats.koszul_zeros,
-        },
+        "stats": asdict(result.stats),
     }
 
 

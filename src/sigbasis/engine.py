@@ -8,8 +8,10 @@ the batch's earlier results, and inserts them with provenance recorded in a
 forest of reduction ancestry (the sigtree).  Termination rests on the
 well-formedness of that forest; the invariant can be asserted at loop heads
 in debug runs.  In a ring with the full monoid, a picked signature divisible
-by the signature of a principal (Koszul) syzygy between two nonzero members
-is inserted as a zero-part marker without being reduced.
+by the leading signature of a principal (Koszul) syzygy between two nonzero
+members is inserted as a zero-part marker without being reduced.  The test
+reads the basis itself: a nonzero member g whose signature divides the picked
+one, and a member h whose leading monomial divides the multiplier.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from operator import sub
 from time import monotonic
 
 from .algebra import Element
@@ -27,7 +28,6 @@ from .monomials import Monomial, ScalarOrder, divide
 from .sigcore import (
     SigPair,
     SigSet,
-    _support_mask,
     find_regular_reducer,
     multiply,
     regular_normal_form_with_steps,
@@ -167,14 +167,10 @@ class CertificateReport:
 
 def rewrite_basis_at(G: SigSet, sigma: Monomial) -> bool:
     """No realization at sigma, or some realization is regular-irreducible."""
-    spec = G.monoid
     sigma_key = G.sig_order.key(sigma)
     realized = False
     # newest first: the member inserted at sigma, if any, is the likely witness
-    for g in reversed(G.members):
-        a = divide(g.sig, sigma, spec)
-        if a is None:
-            continue
+    for g, a in G.realizations(sigma):
         realized = True
         if g.part.is_zero:
             return True
@@ -209,17 +205,13 @@ def select_reductant_sigtree(sigma: Monomial, tree: SigTree, G: SigSet, child_or
 
 
 def select_reductant_f5(sigma: Monomial, G: SigSet):
-    """Most recent member whose signature divides sigma; zero-part members
-    short-circuit the scan (the signature is then a recorded syzygy)."""
-    spec = G.monoid
+    """Most recent member whose signature divides sigma, unless a zero-part
+    member's does (the signature is then a recorded syzygy): then the oldest
+    such member."""
     best = None
-    for g in G.members:  # members are in ascending id order
-        a = divide(g.sig, sigma, spec)
-        if a is None:
-            continue
-        best = (g, a)
-        if g.part.is_zero:
-            break
+    for g, a in G.realizations(sigma):  # newest first
+        if best is None or g.part.is_zero:
+            best = (g, a)
     if best is None:
         raise ContractError("no member signature divides the requested signature")
     return best
@@ -228,13 +220,9 @@ def select_reductant_f5(sigma: Monomial, G: SigSet):
 def _select_min_lm(sigma: Monomial, G: SigSet):
     """All realizations of sigma, keeping the smallest part leading monomial;
     ties break toward the smallest id."""
-    spec = G.monoid
     part_key = G.ctx.order.key
     best = None
-    for g in G.members:
-        a = divide(g.sig, sigma, spec)
-        if a is None:
-            continue
+    for g, a in G.realizations(sigma):
         glm = g.part.lm
         shifted = glm if glm.is_zero else glm.mul(a)
         cand = (part_key(shifted), g.id)
@@ -262,44 +250,26 @@ class _TraceWriter:
         self.sink(out)
 
 
-class _KoszulSignatures:
-    """Leading signatures of the principal syzygies part(h)*u_g - part(g)*u_h.
+def _koszul_multiple(sigma: Monomial, G: SigSet) -> bool:
+    """sigma is a multiple of the leading signature of a principal syzygy
+    part(h)*u_g - part(g)*u_h between two nonzero members of G.
 
-    One per pair of nonzero members whose two products lm(h)*sig(g) and
-    lm(g)*sig(h) differ (the larger leads), kept per signature slot as
-    (support mask, exponents).  Every multiple of one is a syzygy signature,
-    where the regular normal form is zero once G is complete below it.  The
-    syzygy needs every part monomial as a multiplier: full monoid, index-free
-    parts.
+    That signature is lm(h)*sig(g) when it exceeds lm(g)*sig(h) (keys are
+    unique, so they never tie), and lm(h)*sig(g) divides sigma iff sig(g)
+    does with a quotient that lm(h) divides.  Every multiple of one is a
+    syzygy signature, where the regular normal form is zero once G is
+    complete below it.  The syzygy needs every part monomial as a
+    multiplier: full monoid, index-free parts.
     """
-
-    def __init__(self, sig_order):
-        self._key = sig_order.key
-        self._slots = {}
-
-    def add(self, h: SigPair, G: SigSet):
-        """Record h against every member of G, before h joins it."""
-        if h.part.is_zero:
-            return
-        key = self._key
-        hlm, hsig = h.part.lm, h.sig
-        for g in G.members:
-            if g.part.is_zero:
-                continue
-            s, t = g.sig.mul(hlm), hsig.mul(g.part.lm)
-            if s != t:
-                k = s if key(s) > key(t) else t
-                self._slots.setdefault(k.indices, []).append(
-                    (_support_mask(k.exps), k.exps)
-                )
-
-    def divides(self, sigma: Monomial) -> bool:
-        exps = sigma.exps
-        sigma_mask = _support_mask(exps)
-        for mask, k in self._slots.get(sigma.indices, ()):
-            if not mask & ~sigma_mask and min(map(sub, exps, k)) >= 0:
+    key = G.sig_order.key
+    for g, a in G.realizations(sigma):
+        if g.part.is_zero:
+            continue
+        glm = g.part.lm
+        for h, _ in G.divisors_of(a):
+            if key(g.sig.mul(h.part.lm)) > key(h.sig.mul(glm)):
                 return True
-        return False
+    return False
 
 
 def _check_invariant(G: SigSet, Q: CriticalQueue, pruned: bool, cache: dict):
@@ -358,15 +328,11 @@ def run(
     stats = RunStats()
     rng = random.Random(pop_shuffle_seed) if pop_shuffle_seed is not None else None
     invariant_cache = {}
-    koszul = None
-    if ctx.monoid.kind == "full" and isinstance(ctx.order, ScalarOrder):
-        koszul = _KoszulSignatures(prebasis.sig_order)
+    koszul = ctx.monoid.kind == "full" and isinstance(ctx.order, ScalarOrder)
 
     for i, g in enumerate(prebasis.members, start=1):
         if g.id != i:
             raise ContractError("prebasis ids must be 1..r in order")
-        if koszul is not None:
-            koszul.add(g, G)
         G.add(g)
         tree.add_node(g, parent=0, rank=0, edge=ctx.identity_monomial())
         queue_update(Q, g, G)
@@ -434,7 +400,7 @@ def run(
             # ids follow tree size so that batched insertions stay sequential
             # even before their sigpairs join G
             f = SigPair(reductant.part, sigma, len(tree.nodes))
-            if koszul is not None and koszul.divides(sigma):
+            if koszul and _koszul_multiple(sigma, G):
                 g_new, steps = SigPair(Element.zero(ctx), sigma, f.id), 0
                 stats.koszul_zeros += 1
             else:
@@ -465,8 +431,6 @@ def run(
             tree.add_node(g_new, parent=node_k, rank=stats.iterations, edge=a)
             fresh.append(g_new)
         for g_new in fresh:
-            if koszul is not None:
-                koszul.add(g_new, G)
             G.add(g_new)
             queue_update(Q, g_new, G)
         stats.peak_queue = max(stats.peak_queue, len(Q))

@@ -51,11 +51,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exps)
 
-    @property
-    def index(self):
-        """Outermost module position, or None for an index-free monomial."""
-        return self.indices[-1] if self.indices else None
-
     def mul(self, a: "Monomial") -> "Monomial":
         """Left action of the index-free multiplier ``a``."""
         if self.is_zero:

@@ -56,7 +56,8 @@ class SigSet:
         self.origin = origin
         self.certified = False
         self._ids = set()
-        # (support mask of the part's lm, member) for every nonzero part
+        # (support mask, member) of every signature, and of every nonzero part's lm
+        self._sigs: list[tuple[int, SigPair]] = []
         self._reducers: list[tuple[int, SigPair]] = []
         for m in members:
             self.add(m)
@@ -70,8 +71,32 @@ class SigSet:
             raise StructureError(f"duplicate sigpair id {sp.id}")
         self._ids.add(sp.id)
         self.members.append(sp)
+        self._sigs.append((_support_mask(sp.sig.exps), sp))
         if sp.part.terms:
             self._reducers.append((_support_mask(sp.part.lm.exps), sp))
+
+    def realizations(self, sigma: Monomial):
+        """Yield ``(member, a)`` with ``a * sig(member) == sigma``, newest first."""
+        spec = self.ctx.monoid
+        sigma_mask = _support_mask(sigma.exps)
+        for mask, g in reversed(self._sigs):
+            if mask & ~sigma_mask:
+                continue
+            a = divide(g.sig, sigma, spec)
+            if a is not None:
+                yield g, a
+
+    def divisors_of(self, mono: Monomial):
+        """Yield ``(member, b)`` with ``b * lm(member part) == mono``, over the
+        nonzero parts in ascending id order."""
+        spec = self.ctx.monoid
+        mono_mask = _support_mask(mono.exps)
+        for mask, g in self._reducers:
+            if mask & ~mono_mask:
+                continue
+            b = divide(g.part.lm, mono, spec)
+            if b is not None:
+                yield g, b
 
     def __len__(self):
         return len(self.members)
@@ -134,19 +159,12 @@ def make_prebasis_unshifted(gens, sig_kind: str = "top") -> SigSet:
     return SigSet(ctx, order, members, origin="unshifted")
 
 
-def make_prebasis_sum(gens_a, gens_b, sig_kind: str = "top", check: bool = False) -> SigSet:
+def make_prebasis_sum(gens_a, gens_b, sig_kind: str = "top") -> SigSet:
     """Rank-2 signatures for the sum of two submodules.
 
-    Both inputs must already be Groebner bases (caller-asserted; pass
-    ``check=True`` to verify with the oracle).
+    Both inputs must already be Groebner bases; the caller asserts it.
     """
     gens_a, gens_b = _checked_gens(gens_a), _checked_gens(gens_b)
-    if check:
-        from .verify import is_groebner_basis
-
-        for side, gens in (("first", gens_a), ("second", gens_b)):
-            if gens and not is_groebner_basis(gens, gens[0].ctx.monoid):
-                raise ContractError(f"the {side} generator set is not a Groebner basis")
     if not gens_a and not gens_b:
         return _empty_sigset(sig_kind)
     ctx = (gens_a or gens_b)[0].ctx
@@ -187,17 +205,10 @@ def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, _sigma
     """
     if target_lm.is_zero:
         raise ContractError("no reducer for the zero monomial")
-    spec = G.monoid
     skey = G.sig_order.key
     sigma_key = _sigma_key if _sigma_key is not None else skey(sigma)
-    target_mask = _support_mask(target_lm.exps)
     best = None
-    for mask, g in G._reducers:
-        if mask & ~target_mask:
-            continue
-        b = divide(g.part.lm, target_lm, spec)
-        if b is None:
-            continue
+    for g, b in G.divisors_of(target_lm):
         cand_key = (skey(g.sig.mul(b)), g.id)
         if cand_key[0] >= sigma_key:
             continue
@@ -284,11 +295,8 @@ def classify_signature(sigma: Monomial, G: SigSet) -> str:
     """Classify as 'empty', 'regular', or 'syzygy' relative to a certified basis."""
     if not G.certified:
         raise ContractError("classification is only valid on a certified rewrite basis")
-    spec = G.monoid
     nonempty = False
-    for g in G.members:
-        if divide(g.sig, sigma, spec) is None:
-            continue
+    for g, _ in G.realizations(sigma):
         if g.part.is_zero:
             return "syzygy"
         nonempty = True

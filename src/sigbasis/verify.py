@@ -43,7 +43,6 @@ __all__ = [
 @dataclass(frozen=True, slots=True)
 class GroebnerBasis:
     elements: tuple[Element, ...]
-    reduced: bool = True
 
     def lm_set(self):
         return {g.lm for g in self.elements}
@@ -145,7 +144,7 @@ def buchberger(
     """
     basis = [g.monic() for g in gens if not g.is_zero]
     if not basis:
-        return GroebnerBasis((), reduced=True)
+        return GroebnerBasis(())
     criteria = spec.kind == "full"
     pairs = []
     live = {}  # counter -> (i, j, common multiple) of every pair still pending
@@ -184,7 +183,7 @@ def buchberger(
         if inserted > max_insertions:
             raise LimitExceeded("oracle insertion cap exceeded")
         push_pairs(len(basis) - 1)
-    return GroebnerBasis(tuple(_interreduce(basis, spec)), reduced=True)
+    return GroebnerBasis(tuple(_interreduce(basis, spec)))
 
 
 def _interreduce(basis, spec):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from sigbasis.cli import main, parse_problem, render_problem
+from sigbasis.cli import main, parse_problem
 from sigbasis.errors import ParseError
 
 MORA_TEXT = """\
@@ -68,16 +68,29 @@ class TestParseProblem:
                 "vars: x\nsetting: module rank=2 order=pot\ngens:\nx*e_5\n"
             )
 
-    def test_roundtrip(self):
+    def test_canonical_fields(self):
         spec = parse_problem(MORA_TEXT)
-        assert parse_problem(render_problem(spec)) == spec
+        assert (spec.order, spec.sig_order, spec.sig_init) == ("degrevlex", "top", "shifted")
+        assert spec.generators == ("x^2*y^2 - 1", "y^5 - x^2*y", "x^5 - x*y^2")
+        assert spec.generators2 == ()
         two_block = parse_problem(
             "vars: y x\nsig_init: sum\ngens:\nx - 1\ngens2:\ny - 1\n"
         )
-        assert parse_problem(render_problem(two_block)) == two_block
-        gf = parse_problem("vars: x y\nfield: GF 7\nsig_order: pot\n"
-                           "sig_init: unshifted\ngens:\n3*x + y\n")
-        assert parse_problem(render_problem(gf)) == gf
+        assert two_block.generators == ("x - 1",) and two_block.generators2 == ("y - 1",)
+        gf = parse_problem("vars: x y\norder: DegRevLex\nfield: GF 7\nsig_order: POT\n"
+                           "sig_init: Unshifted\ngens:\n3*x + y\n")
+        assert gf.variables == ("x", "y") and gf.order == "degrevlex"
+        assert (gf.field, gf.sig_order, gf.sig_init) == ("gf:7", "pot", "unshifted")
+        assert gf.generators == ("y + 3*x",)
+
+    def test_monoid_exclusions_reach_monoid_spec(self):
+        spec = parse_problem(
+            "vars: y x\nsetting: monoid degmin=2 exclude=x^3,x*y\ngens:\nx^2*y^2 - 1\n"
+        )
+        monoid = spec.build_context().monoid
+        assert monoid.kind == "degree_truncated" and monoid.min_degree == 2
+        assert monoid.exclusions == {(0, 3), (1, 1)}
+        assert not monoid.member((1, 1)) and monoid.member((2, 0))
 
 
 class TestMainExitCodes:
@@ -118,6 +131,16 @@ class TestMainExitCodes:
             "vars: y x\nsig_init: sum\ngens:\nx - 1\ngens2:\ny - 1\n"
         )
         assert main(["run", str(path), "--verify"]) == 0
+
+    def test_sum_rejects_non_basis_block(self, tmp_path, capsys):
+        # {x^2 y^2 - 1, y^5 - x^2 y} is not a Groebner basis by itself
+        path = tmp_path / "sum.sys"
+        path.write_text(
+            "vars: y x\nsig_init: sum\ngens:\nx^2*y^2 - 1\ny^5 - x^2*y\ngens2:\nx - 1\n"
+        )
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: the first generator set is not a Groebner basis\n"
 
     def test_sum_without_second_block_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "sum.sys"
@@ -214,7 +237,7 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize(
         "setting",
-        ["module order=pot", "module rank=z", "monoid degmin=x"],
+        ["module order=pot", "module rank=z", "module rank", "monoid degmin=x", "monoid"],
     )
     def test_malformed_setting_option(self, setting, tmp_path, capsys):
         path = tmp_path / "bad.sys"
@@ -222,6 +245,34 @@ class TestMainExitCodes:
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "vars y x",
+            "order: lex",
+            "vars:",
+            "vars: y 1x",
+            "vars: y e_1",
+            "vars: x x",
+            "vars: y x\norder: grlex",
+            "vars: y x\nsetting: torus",
+            "vars: y x\nsetting:",
+            "vars: y x\nsig_order: mid",
+            "vars: y x\nsig_init: twisted",
+            "vars: y x\ncolour: red",
+        ],
+        ids=["no-colon", "no-vars", "empty-vars", "bad-name", "reserved-name",
+             "duplicate-name", "order", "setting", "empty-setting", "sig-order",
+             "sig-init", "unknown-key"],
+    )
+    def test_malformed_header(self, header, tmp_path, capsys):
+        path = tmp_path / "bad.sys"
+        path.write_text(f"{header}\ngens:\nx - 1\n")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_certificate_failure_exit_2(self, monkeypatch, capsys):
         from sigbasis import engine

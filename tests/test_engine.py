@@ -398,6 +398,31 @@ class TestSigTreeValidation:
         tree.add_node(c2, parent=1, rank=2, edge=mono(mora_ctx, 0, 2))
         assert any("T3" in v for v in validate_sigtree(tree, S))
 
+    # one child under the root g1 = x^2 y^2 - 1 (signature x^2 y^2 e_1), each
+    # breaking exactly one check; exponents are (y, x)
+    @pytest.mark.parametrize(
+        "root_rank, child_rank, part, sig, edge, expected",
+        [
+            (0, 1, "y", (3, 3), (1, 0), "T1: edge signature relation broken at node 2"),
+            (0, 1, "x^3*y^2", (4, 2), (2, 0), "T2: node 2 reducible by an ancestor"),
+            (1, 2, "y", (3, 2), (1, 0), "T4: root 1 has nonzero rank"),
+            (0, 0, "y", (3, 2), (1, 0), "T4: rank does not increase from 1 to 2"),
+        ],
+        ids=["t1-edge-signature", "t2", "t4-root-rank", "t4-rank-order"],
+    )
+    def test_single_violation_detected(
+        self, mora_ctx, mora_prebasis, root_rank, child_rank, part, sig, edge, expected
+    ):
+        g1 = mora_prebasis.members[0]
+        child = SigPair(elem(mora_ctx, part), mono(mora_ctx, *sig, slot=1), 2)
+        tree = SigTree()
+        tree.add_node(g1, parent=0, rank=root_rank, edge=mora_ctx.identity_monomial())
+        tree.add_node(child, parent=1, rank=child_rank, edge=mono(mora_ctx, *edge))
+        S = SigSet(mora_ctx, mora_prebasis.sig_order, [g1, child])
+        assert validate_sigtree(tree, S) == [expected]
+        # the path product disagrees with the node signature only on the T1 tree
+        assert tree_signature_consistent(tree) == (not expected.startswith("T1"))
+
     def test_expired_deadline_raises(self, mora_run):
         with pytest.raises(LimitExceeded):
             validate_sigtree(mora_run.tree, mora_run.basis, deadline=0.0)

@@ -135,26 +135,22 @@ class TestPrebasisConstructors:
 
     def test_sum_empty_side(self, mora_ctx):
         G = make_prebasis_sum([], [elem(mora_ctx, "y - 1")], "top")
-        assert len(G) == 1 and G.members[0].sig.index == 2
+        assert len(G) == 1 and G.members[0].sig.indices[-1] == 2
 
     def test_sum_with_oracle_check(self, mora_gens):
-        # {g1} and {g2, g3} are each Groebner bases; the checked constructor
-        # accepts them and the engine completes the sum to the same ideal
-        G = make_prebasis_sum(mora_gens[:1], mora_gens[1:], "top", check=True)
-        assert len(G) == 3 and G.sig_order.rank == 2
-        res = run(G, Strategy.f5())
-        from sigbasis.verify import buchberger, lm_ideal_equal
+        # {g1} and {g2, g3} are each Groebner bases, and the engine completes
+        # the sum to the same ideal
+        from sigbasis.verify import buchberger, is_groebner_basis, lm_ideal_equal
 
         ctx = mora_gens[0].ctx
+        assert is_groebner_basis(mora_gens[:1], ctx.monoid)
+        assert is_groebner_basis(mora_gens[1:], ctx.monoid)
+        G = make_prebasis_sum(mora_gens[:1], mora_gens[1:], "top")
+        assert len(G) == 3 and G.sig_order.rank == 2
+        res = run(G, Strategy.f5())
         gb = buchberger(mora_gens, ctx.monoid)
         lms = {m.part.lm for m in res.basis.members if not m.part.is_zero}
         assert lm_ideal_equal(lms, gb.lm_set(), ctx.monoid)
-
-    def test_sum_check_rejects_non_basis(self, mora_ctx):
-        # {x^2 y^2 - 1, y^5 - x^2 y} is not a Groebner basis by itself
-        bad = [elem(mora_ctx, "x^2*y^2 - 1"), elem(mora_ctx, "y^5 - x^2*y")]
-        with pytest.raises(ContractError):
-            make_prebasis_sum(bad, [elem(mora_ctx, "x - 1")], "top", check=True)
 
 
 class TestRegularReduction:
