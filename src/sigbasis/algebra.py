@@ -129,6 +129,8 @@ class PrimeField:
         return n % self.p
 
     def from_ratio(self, num, den):
+        if den % self.p == 0:
+            raise StructureError("zero denominator")
         return self.div(num % self.p, den % self.p)
 
     def add(self, a, b):

@@ -99,25 +99,35 @@ class ProblemSpec:
     def build_context(self) -> Context:
         fld = self.build_field()
         scalar = ScalarOrder(self.order, self.variables)
+        kind = self.setting.split()[0]
+        opts = _setting_options(self.setting, _SETTING_OPTIONS[kind])
         monoid = MonoidSpec.full()
         order = scalar
-        if self.setting.startswith("module"):
-            opts = _setting_options(self.setting)
+        if kind == "module":
             order = ModuleOrder(scalar, opts.get("order", "pot"), _int_option(opts, "rank"))
-        elif self.setting.startswith("monoid"):
-            monoid = _parse_monoid_setting(self.setting, self.variables)
+        elif kind == "monoid":
+            monoid = _parse_monoid_setting(opts, self.variables)
         return Context(self.variables, order, monoid, fld)
 
     def build_generators(self, ctx: Context):
         return [parse_element(text, ctx) for text in self.generators]
 
 
-def _setting_options(setting: str) -> dict:
+_SETTING_OPTIONS = {
+    "ring": (),
+    "module": ("rank", "order"),
+    "monoid": ("degmin", "exclude", "generated"),
+}
+
+
+def _setting_options(setting: str, allowed) -> dict:
     out = {}
     for token in setting.split()[1:]:
         if "=" not in token:
             raise ParseError(f"malformed setting option {token!r}")
         k, v = token.split("=", 1)
+        if k not in allowed:
+            raise ParseError(f"unknown option {k!r} in setting {setting!r}")
         out[k] = v
     return out
 
@@ -129,20 +139,21 @@ def _int_option(opts: dict, key: str) -> int:
     return int(text)
 
 
-def _parse_monoid_setting(setting: str, variables) -> MonoidSpec:
-    opts = _setting_options(setting)
-    if "degmin" in opts:
+def _parse_monoid_setting(opts: dict, variables) -> MonoidSpec:
+    if "degmin" in opts and "generated" not in opts:
         exclusions = []
         for text in filter(None, opts.get("exclude", "").split(",")):
             exclusions.append(parse_monomial(text, variables).exps)
         return MonoidSpec.degree_truncated(_int_option(opts, "degmin"), exclusions)
-    if "generated" in opts:
+    if "generated" in opts and len(opts) == 1:
         gens = [
             parse_monomial(text, variables).exps
             for text in opts["generated"].split(",")
         ]
         return MonoidSpec.generated(gens)
-    raise ParseError(f"monoid setting needs degmin= or generated=: {setting!r}")
+    raise ParseError(
+        "monoid setting needs either degmin= (with optional exclude=) or generated="
+    )
 
 
 def _parse_field(text: str) -> str:

@@ -8,7 +8,7 @@ pruned so that no member properly divides another.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import insort
 
 from .errors import ContractError
 from .monomials import (
@@ -36,14 +36,9 @@ def critical_pair_signatures(f: SigPair, g: SigPair, spec, sig_order):
     """
     if f.part.is_zero or g.part.is_zero:
         return ()
-    mcm = minimal_common_multiples(f.part.lm, g.part.lm, spec)
-    if not mcm.complete:
-        raise ContractError(
-            "multiplier search for the critical pair could not be certified complete"
-        )
     key = sig_order.key
     out = []
-    for a, b in mcm.pairs:
+    for a, b in minimal_common_multiples(f.part.lm, g.part.lm, spec):
         sa = f.sig.mul(a)
         sb = g.sig.mul(b)
         if key(sb) < key(sa):
@@ -51,33 +46,38 @@ def critical_pair_signatures(f: SigPair, g: SigPair, spec, sig_order):
     return tuple(sorted(set(out), key=key))
 
 
-def _minimal_signatures(cands):
-    """Drop every candidate properly divided (exponentwise) by another."""
-    unique = list(dict.fromkeys(cands))
-    return [
-        s
-        for s in unique
-        if not any(t != s and divides_exponentwise(t, s) for t in unique)
-    ]
+def _undivided(ascending, divides):
+    """The members of an ascending list that no earlier member divides.
+
+    Every order here is compatible with multiplication, so a proper divisor
+    sorts strictly below its multiple, and both relations used here are
+    transitive: checking against the members already kept gives the same
+    set as comparing all pairs.
+    """
+    kept = []
+    for s in ascending:
+        if not any(divides(t, s) for t in kept):
+            kept.append(s)
+    return kept
 
 
 def critical_set(G: SigSet) -> set[Monomial]:
     """Union over members of their pairwise critical signatures, kept minimal
-    per source member."""
+    (exponentwise) per source member."""
     spec = G.monoid
     order = G.sig_order
     out = set()
     for f in G.members:
-        cands = []
-        for g in G.members:
-            cands.extend(critical_pair_signatures(f, g, spec, order))
-        out.update(_minimal_signatures(cands))
+        cands = {s for g in G.members for s in critical_pair_signatures(f, g, spec, order)}
+        out.update(_undivided(sorted(cands, key=order.key), divides_exponentwise))
     return out
 
 
 class CriticalQueue:
     """Finite, deduplicated set of pending signatures, sorted ascending.
 
+    The members are kept as one ascending list of ``(key, sigma)``; keys are
+    unique per signature, so the tuple comparison never reaches ``sigma``.
     In pruned mode, members properly divided by another member are removed
     after every update.  A source-pair map is kept for trace output only.
     """
@@ -87,18 +87,17 @@ class CriticalQueue:
         self.spec = spec
         self.pruned_mode = pruned_mode
         self.trace = trace
-        self._keys = []
-        self._sigs = []
+        self._entries = []
         self._sources = {}
 
     def __len__(self):
-        return len(self._sigs)
+        return len(self._entries)
 
     def __contains__(self, sigma: Monomial):
         return sigma in self._sources
 
     def snapshot(self):
-        return list(self._sigs)
+        return [sigma for _, sigma in self._entries]
 
     def _emit(self, event, sigma):
         if self.trace is not None:
@@ -113,63 +112,47 @@ class CriticalQueue:
     def add(self, sigma: Monomial, source=()):
         if sigma in self._sources:
             return False
-        key = self.sig_order.key(sigma)
-        pos = bisect_left(self._keys, key)
-        self._keys.insert(pos, key)
-        self._sigs.insert(pos, sigma)
+        insort(self._entries, (self.sig_order.key(sigma), sigma))
         self._sources[sigma] = tuple(source)
         self._emit("queue_add", sigma)
         return True
 
-    def _remove_at(self, pos):
-        sigma = self._sigs.pop(pos)
-        self._keys.pop(pos)
-        return sigma
-
-    def discard(self, sigma: Monomial):
-        if sigma not in self._sources:
-            return
-        pos = bisect_left(self._keys, self.sig_order.key(sigma))
-        self._remove_at(pos)
-        self._emit("queue_prune", sigma)
-        del self._sources[sigma]
-
     def prune(self):
-        """Remove members properly divided by a different member."""
-        doomed = []
-        for s in self._sigs:
-            for t in self._sigs:
-                if t is not s and t != s and divide(t, s, self.spec) is not None:
-                    doomed.append(s)
-                    break
-        for s in doomed:
-            self.discard(s)
+        """Remove members properly divided by a different member, in
+        ascending order."""
+        spec = self.spec
+        entries = self._entries
+        self._entries = _undivided(
+            entries, lambda t, s: divide(t[1], s[1], spec) is not None
+        )
+        kept = {sigma for _, sigma in self._entries}
+        for _, sigma in entries:
+            if sigma not in kept:
+                self._emit("queue_prune", sigma)
+                del self._sources[sigma]
 
-    def pop_min(self) -> Monomial:
-        if not self._sigs:
+    def _pop(self, pos: int) -> Monomial:
+        if not self._entries:
             raise ContractError("pop on an empty queue")
-        sigma = self._remove_at(0)
+        _, sigma = self._entries.pop(pos)
         self._emit("pop", sigma)
         del self._sources[sigma]
         return sigma
 
+    def pop_min(self) -> Monomial:
+        return self._pop(0)
+
     def pop_batch(self, k: int):
-        if not self._sigs:
+        if not self._entries:
             raise ContractError("pop on an empty queue")
         out = []
-        while self._sigs and len(out) < k:
+        while self._entries and len(out) < k:
             out.append(self.pop_min())
         return out
 
     def pop_at(self, pos: int) -> Monomial:
         """Positional pop for the test-only randomized policy."""
-        if not self._sigs:
-            raise ContractError("pop on an empty queue")
-        sigma = self._sigs[pos]
-        self._emit("pop", sigma)
-        self._remove_at(pos)
-        del self._sources[sigma]
-        return sigma
+        return self._pop(pos)
 
 
 def queue_update(Q: CriticalQueue, g: SigPair, G: SigSet):

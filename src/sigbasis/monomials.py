@@ -26,7 +26,6 @@ __all__ = [
     "ScalarOrder",
     "ModuleOrder",
     "MonoidSpec",
-    "MCMResult",
     "divide",
     "divides_exponentwise",
     "minimal_common_multiples",
@@ -336,53 +335,33 @@ def divides_exponentwise(m: Monomial, n: Monomial) -> bool:
     return all(x <= y for x, y in zip(m.exps, n.exps))
 
 
-@dataclass(frozen=True, slots=True)
-class MCMResult:
-    """Minimal multiplier pairs ``(a, b)`` with ``a*m == b*n``.
-
-    ``complete`` is False when the bounded search over a generated monoid
-    could not certify that every solution sits above a reported pair.
-    """
-
-    pairs: tuple[tuple[Monomial, Monomial], ...]
-    complete: bool = True
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __bool__(self):
-        return bool(self.pairs)
-
-
-def minimal_common_multiples(m: Monomial, n: Monomial, spec: MonoidSpec) -> MCMResult:
+def minimal_common_multiples(m: Monomial, n: Monomial, spec: MonoidSpec):
     """Pairs ``(a, b)`` with ``a*m == b*n``, minimal in the multiplier ``a``.
 
     Minimality is exponentwise.  In the full monoid (and for equal-index
     module monomials) this is the single lcm pair; differing indices give the
-    empty set; restricted monoids are searched degree by degree.
+    empty tuple; restricted monoids are searched degree by degree.  A search
+    over a generated monoid that cannot be certified complete raises
+    ``ContractError``.
     """
     if m.is_zero or n.is_zero:
         raise ContractError("minimal common multiples need nonzero monomials")
     if m.indices != n.indices:
-        return MCMResult(())
-    width = len(m.exps)
+        return ()
     lcm = tuple(max(x, y) for x, y in zip(m.exps, n.exps))
     a0 = tuple(x - y for x, y in zip(lcm, m.exps))
     if spec.kind == "full":
         b0 = tuple(x - y for x, y in zip(lcm, n.exps))
-        return MCMResult(((Monomial(a0), Monomial(b0)),))
+        return ((Monomial(a0), Monomial(b0)),)
     if spec.kind == "degree_truncated":
         bound = _truncated_search_bound(m, n, a0, spec)
-        pairs = _collect_mcm(m, n, a0, spec, bound - sum(a0))
-        return MCMResult(tuple(pairs), complete=True)
+        return tuple(_collect_mcm(m, n, a0, spec, bound - sum(a0)))
     gen_top = max(sum(g) for g in spec.generators)
     bound = m.degree + n.degree + gen_top
     pairs = _collect_mcm(m, n, a0, spec, max(0, bound - sum(a0)))
-    complete = _certify_generated(m, n, [a for a, _ in pairs], spec)
-    return MCMResult(tuple(pairs), complete=complete)
+    if not _certify_generated([a for a, _ in pairs], spec):
+        raise ContractError("common-multiple search could not be certified complete")
+    return tuple(pairs)
 
 
 def _truncated_search_bound(m, n, a0, spec) -> int:
@@ -412,7 +391,7 @@ def _collect_mcm(m, n, a0, spec, extra_degree):
     return found
 
 
-def _certify_generated(m, n, minimal, spec) -> bool:
+def _certify_generated(minimal, spec) -> bool:
     # Every generator step away from a reported multiplier must stay inside
     # the upward closure of the reported set.
     for a in minimal:

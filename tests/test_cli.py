@@ -237,7 +237,8 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize(
         "setting",
-        ["module order=pot", "module rank=z", "module rank", "monoid degmin=x", "monoid"],
+        ["module order=pot", "module rank=z", "module rank", "monoid degmin=x", "monoid",
+         "ring extra", "monoid degmin=2 generated=x", "module rank=1 order=pot foo=bar"],
     )
     def test_malformed_setting_option(self, setting, tmp_path, capsys):
         path = tmp_path / "bad.sys"
@@ -245,6 +246,20 @@ class TestMainExitCodes:
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "field, flags",
+        [("GF 7", []), ("Q", ["--field", "gf:7"])],
+        ids=["file-field", "field-flag"],
+    )
+    def test_gf_zero_denominator(self, field, flags, tmp_path, capsys):
+        # 7 divides the denominator of 1/7 in GF(7)
+        path = tmp_path / "den.sys"
+        path.write_text(f"vars: y x\nfield: {field}\ngens:\nx + 1/7\n")
+        assert main(["run", str(path), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "zero denominator" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "header",

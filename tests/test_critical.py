@@ -1,11 +1,12 @@
 """Critical signatures, per-source minimality, and the pending queue."""
 
+import functools
 import random
 
 import pytest
 
 from conftest import elem, mono
-from sigbasis.algebra import Context, Element, RationalField
+from sigbasis.algebra import Context, Element, PrimeField, RationalField
 from sigbasis.critical import (
     CriticalQueue,
     critical_pair_signatures,
@@ -14,8 +15,17 @@ from sigbasis.critical import (
 )
 from sigbasis.engine import Strategy, run
 from sigbasis.errors import ContractError
-from sigbasis.monomials import Monomial, ModuleOrder, MonoidSpec, ScalarOrder
+from sigbasis.monomials import (
+    Monomial,
+    ModuleOrder,
+    MonoidSpec,
+    ScalarOrder,
+    divide,
+    divides_exponentwise,
+)
 from sigbasis.sigcore import SigPair, SigSet, make_prebasis_shifted, multiply
+from sigbasis.systems import builtin_problem
+from sigbasis.textio import parse_element, render_element
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +229,99 @@ class TestInvariants:
     def test_queue_invariant_out_of_order_pops(self, mora_gens):
         G = make_prebasis_shifted(mora_gens, "top")
         run(G, Strategy.f5(), debug_invariant_stride=1, pop_shuffle_seed=42)
+
+
+def _all_pairs_minimal(sigs, divides):
+    """Reference filter: drop every member properly divided by another."""
+    return {s for s in sigs if not any(t != s and divides(t, s) for t in sigs)}
+
+
+def _restricted_set(system, monoid, sig_order, strategy):
+    ctx, gens = builtin_problem(system)
+    ctx = Context(ctx.variables, ctx.order, monoid, PrimeField(32003))
+    gens = [parse_element(render_element(g), ctx) for g in gens]
+    return run(make_prebasis_shifted(gens, sig_order), strategy).basis
+
+
+def _module_set(sig_order):
+    order = ModuleOrder(ScalarOrder("degrevlex", ("y", "x")), "pot", 2)
+    ctx = Context(("y", "x"), order, MonoidSpec.full(), PrimeField(32003))
+    gens = [
+        parse_element(text, ctx)
+        for text in ("x*e_2 + y*e_1", "y*e_2 - x*e_1", "x^2*e_1 - y^3*e_2")
+    ]
+    return run(make_prebasis_shifted(gens, sig_order), Strategy.in_order()).basis
+
+
+_QUADRATICS = [
+    tuple(int(i == j) + int(i == k) for i in range(4)) for j in range(4) for k in range(j, 4)
+]
+_SCAN_CASES = {
+    "full": lambda o: _restricted_set("katsura4", MonoidSpec.full(), o, Strategy.f5()),
+    "degree_truncated": lambda o: _restricted_set(
+        "katsura4", MonoidSpec.degree_truncated(2), o, Strategy.f5()
+    ),
+    # mora in degmin=2 without x^3 and x*y (variables y, x)
+    "excluded": lambda o: _restricted_set(
+        "mora", MonoidSpec.degree_truncated(2, [(0, 3), (1, 1)]), o, Strategy.f5()
+    ),
+    "generated": lambda o: _restricted_set(
+        "katsura4", MonoidSpec.generated(_QUADRATICS), o, Strategy.min_lm()
+    ),
+    "module": _module_set,
+}
+
+
+@functools.cache
+def _scan_set(case, sig_order):
+    return _SCAN_CASES[case](sig_order)
+
+
+class TestMinimalityScan:
+    """`prune` and `critical_set` scan each candidate against the earlier
+    ones only; they must keep exactly what the all-pairs filters keep."""
+
+    @pytest.mark.parametrize("sig_order", ["top", "pot"])
+    @pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+    def test_critical_set_matches_all_pairs(self, case, sig_order):
+        G = _scan_set(case, sig_order)
+        spec, order = G.monoid, G.sig_order
+        expected = set()
+        for f in G.members:
+            cands = {
+                s for g in G.members
+                for s in critical_pair_signatures(f, g, spec, order)
+            }
+            expected |= _all_pairs_minimal(cands, divides_exponentwise)
+        assert critical_set(G) == expected and expected
+
+    @pytest.mark.parametrize("sig_order", ["top", "pot"])
+    @pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+    def test_prune_matches_all_pairs(self, case, sig_order):
+        G = _scan_set(case, sig_order)
+        spec, key = G.monoid, G.sig_order.key
+        width = G.ctx.width
+        rng = random.Random(1702)
+        pruned_total = 0
+        for _ in range(20):
+            sigs = {
+                rng.choice(G.members).sig.mul(
+                    Monomial(tuple(rng.randrange(3) for _ in range(width)))
+                )
+                for _ in range(rng.randint(1, 30))
+            }
+            events = []
+            Q = CriticalQueue(G.sig_order, spec, pruned_mode=True, trace=events.append)
+            for s in sigs:
+                Q.add(s)
+            Q.prune()
+            kept = _all_pairs_minimal(
+                sigs, lambda t, s: divide(t, s, spec) is not None
+            )
+            assert Q.snapshot() == sorted(kept, key=key)
+            assert len(Q) == len(kept) and all(s in Q for s in kept)
+            pruned = [e["signature"] for e in events if e["event"] == "queue_prune"]
+            assert pruned == sorted(sigs - kept, key=key)
+            assert not any(s in Q for s in pruned)
+            pruned_total += len(pruned)
+        assert pruned_total > 0

@@ -16,7 +16,7 @@ from sigbasis.algebra import Context, PrimeField, RationalField
 from sigbasis.engine import Strategy, run
 from sigbasis.monomials import MonoidSpec, ScalarOrder
 from sigbasis.sigcore import make_prebasis_shifted, make_prebasis_unshifted
-from sigbasis.textio import parse_element
+from sigbasis.textio import parse_element, render_element
 from sigbasis.verify import buchberger, lm_ideal_equal
 
 PRESETS = (
@@ -64,3 +64,19 @@ def test_random_systems_match_oracle(seed, field):
                 assert lm_ideal_equal(lms, oracle, ctx.monoid), (
                     seed, sig_order, make.__name__, preset()
                 )
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(32003)], ids=["q", "gf"])
+@pytest.mark.parametrize("seed", range(16))
+def test_oracle_matches_sympy(seed, field):
+    # a second oracle that shares no code with the package: sympy's own
+    # Groebner basis, with the variables passed largest first
+    sympy = pytest.importorskip("sympy")
+    ctx, gens = random_system(seed, field)
+    symbols = sympy.symbols(ctx.variables[::-1])
+    names = dict(zip(ctx.variables[::-1], symbols))
+    exprs = [sympy.sympify(render_element(g).replace("^", "**"), locals=names) for g in gens]
+    options = {} if isinstance(field, RationalField) else {"modulus": field.p}
+    theirs = sympy.groebner(exprs, *symbols, order="grevlex", **options)
+    expected = {tuple(reversed(p.LM(order="grevlex").exponents)) for p in theirs.polys}
+    assert {m.exps for m in buchberger(gens, ctx.monoid).lm_set()} == expected

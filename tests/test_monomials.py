@@ -147,27 +147,24 @@ class TestMinimalCommonMultiples:
         # lm g1 = x^2 y^2, lm g2 = y^5 in slots (y, x): common multiple x^2 y^5
         a = Monomial((2, 2))  # y^2 x^2
         b = Monomial((5, 0))  # y^5
-        res = minimal_common_multiples(b, a, FULL)
-        assert len(res) == 1 and res.complete
-        mult, cof = res.pairs[0]
+        ((mult, cof),) = minimal_common_multiples(b, a, FULL)
         assert b.mul(mult) == Monomial((5, 2)) == a.mul(cof)
 
     def test_index_mismatch_empty(self):
-        res = minimal_common_multiples(m(1, 0, slot=1), m(1, 0, slot=2), FULL)
-        assert len(res) == 0
+        assert minimal_common_multiples(m(1, 0, slot=1), m(1, 0, slot=2), FULL) == ()
 
     def test_degree_truncated_two_multipliers(self):
         # A = {deg >= 2} + identity, m = x^2, n = x*y (exps in (x, y))
         A = MonoidSpec.degree_truncated(2)
         res = minimal_common_multiples(m(2, 0), m(1, 1), A)
-        assert res.complete
-        assert {a for a, _ in res.pairs} == {m(1, 1), m(0, 2)}
+        assert {a for a, _ in res} == {m(1, 1), m(0, 2)}
 
     def test_generated_monoid_certified(self):
         A = MonoidSpec.generated([(2, 0), (1, 1), (0, 2)])
+        # returning at all means the search was certified complete
         res = minimal_common_multiples(m(2, 0), m(1, 1), A)
-        assert res.complete
-        for a, b in res.pairs:
+        assert res
+        for a, b in res:
             assert m(2, 0).mul(a) == m(1, 1).mul(b)
 
     def test_output_pairwise_incomparable_and_covering(self):
@@ -175,7 +172,7 @@ class TestMinimalCommonMultiples:
         A = MonoidSpec.degree_truncated(2)
         lhs, rhs = m(2, 0), m(1, 1)
         res = minimal_common_multiples(lhs, rhs, A)
-        outs = [a for a, _ in res.pairs]
+        outs = [a for a, _ in res]
         for i, a in enumerate(outs):
             for j, b in enumerate(outs):
                 if i != j:
