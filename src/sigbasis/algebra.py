@@ -244,8 +244,16 @@ class Element:
         inv = field.div(field.one, lc)
         return self.scale(inv)
 
-    def mul_monomial(self, a: Monomial) -> "Element":
-        """Left action by an index-free monomial; order is preserved by M2."""
+    def mul_monomial(self, a: Monomial, products=None) -> "Element":
+        """Left action by an index-free monomial; order is preserved by M2.
+
+        ``products`` maps a product's ``(exps, indices)`` to its ``(order
+        key, Monomial)`` under this context's order.  Each product term is
+        looked up there and built only on a miss, so a caller that keeps one
+        table across many products (a ``SigSet`` does) builds each distinct
+        product monomial and key once and shares them.  Without a table a
+        fresh one is used.
+        """
         if a.is_zero:
             raise ContractError("cannot multiply by the zero monomial")
         if a.degree == 0:
@@ -256,11 +264,17 @@ class Element:
         if len(exps) != self.ctx.width:
             raise StructureError("multiplier width mismatch")
         # the terms share the context's width, so one check covers every product
+        if products is None:
+            products = {}
         key = self.ctx.order.key
         out = []
         for _, m, c in self.terms:
-            prod = Monomial(tuple(map(add, exps, m.exps)), m.indices)
-            out.append((key(prod), prod, c))
+            spot = (tuple(map(add, exps, m.exps)), m.indices)
+            hit = products.get(spot)
+            if hit is None:
+                prod = Monomial(*spot)
+                hit = products[spot] = (key(prod), prod)
+            out.append(hit + (c,))
         return Element(self.ctx, tuple(out))
 
     def sub_scaled(self, other: "Element", lam) -> "Element":

@@ -170,7 +170,10 @@ class MonoidSpec:
     * ``degree_truncated`` -- the identity plus every monomial of total
       degree >= ``min_degree``, minus an explicit finite exclusion list;
     * ``generated`` -- all products of a finite generator list, membership
-      decided by memoized descent over the generators.
+      decided by memoized descent over the generators.  The list must be
+      every monomial of one total degree d, so the members are the monomials
+      of total degree divisible by d; only for such lists is the
+      common-multiple search known to be complete (``minimal_common_multiples``).
     """
 
     __slots__ = ("kind", "min_degree", "exclusions", "generators", "_member_cache")
@@ -188,6 +191,11 @@ class MonoidSpec:
                 raise StructureError("generated monoid needs at least one generator")
             if any(sum(g) == 0 for g in self.generators):
                 raise StructureError("the identity is implicit, not a generator")
+            g0 = self.generators[0]
+            if set(self.generators) != set(_vectors_of_degree(len(g0), sum(g0))):
+                raise StructureError(
+                    "generated monoid needs every monomial of one total degree as generators"
+                )
         elif kind != "full":
             raise StructureError(f"unknown monoid kind {kind!r}")
 
@@ -340,9 +348,17 @@ def minimal_common_multiples(m: Monomial, n: Monomial, spec: MonoidSpec):
 
     Minimality is exponentwise.  In the full monoid (and for equal-index
     module monomials) this is the single lcm pair; differing indices give the
-    empty tuple; restricted monoids are searched degree by degree.  A search
-    over a generated monoid that cannot be certified complete raises
-    ``ContractError``.
+    empty tuple; restricted monoids are searched degree by degree.
+
+    A generated monoid holds the monomials of total degree divisible by d
+    (``MonoidSpec`` refuses other generator lists).  Its multipliers are the
+    a >= a0 = lcm/m of degree divisible by d, if d divides m.degree -
+    n.degree, and none otherwise.  Such an a of degree >= deg a0 + d is not
+    minimal: dividing it by a degree-d divisor of a/a0 leaves a smaller one.
+    So the search stops below total degree deg a0 + d.  Other generator
+    lists have no such bound: for <xy^2, x^4 y, x^2>, y^3 and x^4 have the
+    minimal multiplier x^16, and for <y^3, y^2 z, x z^2> (exponents in
+    (x, y, z)) y^3 z^3 and x^3 y z^2 have only x^3 y^12 z^6.
     """
     if m.is_zero or n.is_zero:
         raise ContractError("minimal common multiples need nonzero monomials")
@@ -356,12 +372,7 @@ def minimal_common_multiples(m: Monomial, n: Monomial, spec: MonoidSpec):
     if spec.kind == "degree_truncated":
         bound = _truncated_search_bound(m, n, a0, spec)
         return tuple(_collect_mcm(m, n, a0, spec, bound - sum(a0)))
-    gen_top = max(sum(g) for g in spec.generators)
-    bound = m.degree + n.degree + gen_top
-    pairs = _collect_mcm(m, n, a0, spec, max(0, bound - sum(a0)))
-    if not _certify_generated([a for a, _ in pairs], spec):
-        raise ContractError("common-multiple search could not be certified complete")
-    return tuple(pairs)
+    return tuple(_collect_mcm(m, n, a0, spec, sum(spec.generators[0]) - 1))
 
 
 def _truncated_search_bound(m, n, a0, spec) -> int:
@@ -390,15 +401,3 @@ def _collect_mcm(m, n, a0, spec, extra_degree):
             found.append((Monomial(a), Monomial(cof)))
     return found
 
-
-def _certify_generated(minimal, spec) -> bool:
-    # Every generator step away from a reported multiplier must stay inside
-    # the upward closure of the reported set.
-    for a in minimal:
-        for g in spec.generators:
-            s = tuple(x + y for x, y in zip(a.exps, g))
-            if not any(
-                all(x <= y for x, y in zip(prev.exps, s)) for prev in minimal
-            ):
-                return False
-    return True

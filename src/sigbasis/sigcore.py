@@ -46,7 +46,10 @@ class SigSet:
     """Ordered, append-only collection of sigpairs with shared orders.
 
     ``certified`` is set by the engine once the combinatorial rewrite-basis
-    certificate has passed; classification requires it.
+    certificate has passed; classification requires it.  ``_products`` is
+    the product table that regular reduction passes to
+    ``Element.mul_monomial``: one entry per distinct shifted part monomial.
+    A product of exponent tuples never changes, so no entry goes stale.
     """
 
     def __init__(self, ctx: Context, sig_order: ModuleOrder, members=(), origin="adhoc"):
@@ -59,6 +62,7 @@ class SigSet:
         # (support mask, member) of every signature, and of every nonzero part's lm
         self._sigs: list[tuple[int, SigPair]] = []
         self._reducers: list[tuple[int, SigPair]] = []
+        self._products = {}
         for m in members:
             self.add(m)
 
@@ -249,7 +253,7 @@ def regular_normal_form_with_steps(f: SigPair, G: SigSet, fresh=()):
         if found is None:
             return None
         g, b = found
-        return g.part.mul_monomial(b)
+        return g.part.mul_monomial(b, G._products)
 
     part, steps = normal_form_with_steps(f.part, admit)
     return SigPair(part.monic(), sigma, f.id), steps

@@ -272,6 +272,7 @@ def bounded_signature_basis_check(
             products.append((skey(g.sig.mul(am)), g.part, am))
     products.sort(key=lambda p: p[0])
     ech = SpanEchelon()
+    table = {}
     reached, unreached = set(), set()
     fed = 0
     violations = []
@@ -280,7 +281,7 @@ def bounded_signature_basis_check(
         while fed < len(products) and products[fed][0] <= sigma_key:
             _, part, am = products[fed]
             fed += 1
-            row = part.mul_monomial(am)
+            row = part.mul_monomial(am, table)
             reached.add(row.lm)
             unreached.discard(row.lm)
             r = ech.residue_vector(row)
@@ -317,9 +318,10 @@ def bounded_syzygy_check(
     entries.sort(key=lambda e: e[0])
     kernel_lms = []
     ech = SpanEchelon()
+    table = {}
     for _, shifted, am, g in entries:
         _check_deadline(deadline)
-        if ech.residue_vector(g.mul_monomial(am)).is_zero:
+        if ech.residue_vector(g.mul_monomial(am, table)).is_zero:
             kernel_lms.append(shifted)
     syz = result.syzygies
     violations = [

@@ -23,7 +23,7 @@ from sigbasis.algebra import (
     top_reduce_step,
 )
 from sigbasis.errors import ContractError, StructureError
-from sigbasis.monomials import Monomial, MonoidSpec, ScalarOrder, ZERO
+from sigbasis.monomials import ModuleOrder, Monomial, MonoidSpec, ScalarOrder, ZERO
 
 # Frozen via the dense Fraction oracle in conftest (see test below that
 # re-derives it): pivot monomials of the degree<=7 slice spanned by the
@@ -325,6 +325,52 @@ class TestMembershipBounded:
         assert pivots == dense_pivots_of_elements(rows, univar_ctx)
         assert dense_pivots_of_elements(rows + [elem(univar_ctx, "1")], univar_ctx) != pivots
         assert dense_pivots_of_elements(rows + [elem(univar_ctx, "x^2 - x")], univar_ctx) == pivots
+
+
+def _product_cases():
+    """(context, element, multiplier): a ring and rank-2 TOP/POT modules."""
+    ring = Context(("y", "x"), ScalarOrder("degrevlex", ("y", "x")), MonoidSpec.full(),
+                   RationalField())
+    yield ring, elem(ring, "x^2*y^2 - 1/3*x*y + 7"), Monomial((2, 1))
+    for kind in ("top", "pot"):
+        order = ModuleOrder(ScalarOrder("degrevlex", ("y", "x")), kind, 2)
+        ctx = Context(("y", "x"), order, MonoidSpec.full(), PrimeField(32003))
+        f = elem(ctx, "x^2*e_2 + x*y*e_1 - y^2*e_2 + x*y*e_2 + 5*x*e_1 + 3*e_2 - e_1")
+        yield ctx, f, Monomial((1, 2))
+
+
+class TestProductTable:
+    """mul_monomial looks every product term up in a table of (key, Monomial)."""
+
+    @pytest.mark.parametrize("case", list(_product_cases()), ids=["ring", "top", "pot"])
+    def test_matches_plain_product(self, case):
+        ctx, f, a = case
+        plain = Element.from_terms(
+            ctx, [(Monomial(tuple(x + y for x, y in zip(a.exps, m.exps)), m.indices), c)
+                  for _, m, c in f.terms]
+        )
+        table = {}
+        for products in (None, table, table):
+            assert f.mul_monomial(a, products).terms == plain.terms
+        assert table == {(m.exps, m.indices): (k, m) for k, m, _ in plain.terms}
+
+    @pytest.mark.parametrize("case", list(_product_cases()), ids=["ring", "top", "pot"])
+    def test_repeated_product_shares_monomials(self, case):
+        ctx, f, a = case
+        table = {}
+        first = f.mul_monomial(a, table)
+        again = f.mul_monomial(a, table)
+        assert all(
+            k1 is k2 and m1 is m2 for (k1, m1, _), (k2, m2, _) in zip(first.terms, again.terms)
+        )
+        # another factorization of the same products hits the same entries
+        b = Monomial(tuple(x - 1 for x in a.exps))
+        shared = f.mul_monomial(b).mul_monomial(Monomial((1, 1)), table)
+        assert all(m1 is m2 for (_, m1, _), (_, m2, _) in zip(first.terms, shared.terms))
+        # without a table every call builds its own monomials
+        fresh = f.mul_monomial(a)
+        assert all(m1 == m2 and m1 is not m2
+                   for (_, m1, _), (_, m2, _) in zip(first.terms, fresh.terms))
 
 
 class TestPrimeField:

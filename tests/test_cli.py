@@ -248,6 +248,21 @@ class TestMainExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "generators", ["x*y^2,x^4*y,x^2", "y^2,x^2"], ids=["mixed-degrees", "not-all"]
+    )
+    def test_generated_monoid_refused(self, generators, tmp_path, capsys):
+        # no common-multiple search box is known complete for these monoids
+        path = tmp_path / "gen.sys"
+        path.write_text(
+            f"vars: y x\nfield: GF 32003\nsetting: monoid generated={generators}\n"
+            "gens:\nx^2*y^2 - 1\ny^5 - x^2*y\n"
+        )
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "one total degree" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "field, flags",
         [("GF 7", []), ("Q", ["--field", "gf:7"])],
         ids=["file-field", "field-flag"],

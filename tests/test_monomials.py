@@ -159,13 +159,51 @@ class TestMinimalCommonMultiples:
         res = minimal_common_multiples(m(2, 0), m(1, 1), A)
         assert {a for a, _ in res} == {m(1, 1), m(0, 2)}
 
-    def test_generated_monoid_certified(self):
-        A = MonoidSpec.generated([(2, 0), (1, 1), (0, 2)])
-        # returning at all means the search was certified complete
-        res = minimal_common_multiples(m(2, 0), m(1, 1), A)
-        assert res
-        for a, b in res:
-            assert m(2, 0).mul(a) == m(1, 1).mul(b)
+    def test_generated_monoid_matches_deeper_search(self):
+        # Every monomial of degree d generates the monoid: the search finds
+        # the same exponentwise-minimal multipliers as a brute-force search
+        # 16 degrees deeper than m.degree + n.degree + d, with membership
+        # taken from the generator closure rather than from descent.
+        rng = random.Random(20261018)
+        for _ in range(120):
+            width, d = rng.randint(1, 3), rng.randint(1, 3)
+            gens = list(_vectors(width, d))
+            A = MonoidSpec.generated(gens)
+            lhs = Monomial(tuple(rng.randint(0, 4) for _ in range(width)))
+            rhs = Monomial(tuple(rng.randint(0, 4) for _ in range(width)))
+            top = lhs.degree + rhs.degree + d + 16
+            closure = _closure(gens, width, top)
+            deeper = []
+            for k in range(top + 1):
+                for a in _vectors(width, k):
+                    cof = tuple(x + y - z for x, y, z in zip(a, lhs.exps, rhs.exps))
+                    if a not in closure or cof not in closure:
+                        continue
+                    if not any(all(p <= q for p, q in zip(prev, a)) for prev in deeper):
+                        deeper.append(a)
+            res = minimal_common_multiples(lhs, rhs, A)
+            assert sorted(a.exps for a, _ in res) == sorted(deeper), (d, lhs, rhs)
+            for a, b in res:
+                assert lhs.mul(a) == rhs.mul(b)
+
+    @pytest.mark.parametrize(
+        "gens, lhs, rhs, multiplier",
+        [
+            ([(1, 2), (4, 1), (2, 0)], (0, 3), (4, 0), (16, 0)),
+            ([(0, 3, 0), (0, 2, 1), (1, 0, 2)], (0, 3, 3), (3, 1, 2), (3, 12, 6)),
+        ],
+        ids=["mixed-degrees", "one-degree-not-all"],
+    )
+    def test_generated_monoid_without_bound_refused(self, gens, lhs, rhs, multiplier):
+        # Exps in (x, y[, z]).  Each monoid has a minimal common multiplier
+        # (x^16; x^3 y^12 z^6) beyond degree m.degree + n.degree + max
+        # generator degree, so no fixed search box is known to hold them.
+        cof = tuple(x + y - z for x, y, z in zip(multiplier, lhs, rhs))
+        closure = _closure(gens, len(lhs), max(sum(multiplier), sum(cof)))
+        assert multiplier in closure and cof in closure
+        assert sum(multiplier) > sum(lhs) + sum(rhs) + max(map(sum, gens))
+        with pytest.raises(StructureError, match="one total degree"):
+            MonoidSpec.generated(gens)
 
     def test_output_pairwise_incomparable_and_covering(self):
         # Every solution in a bounded enumeration sits above some output.
@@ -187,6 +225,32 @@ class TestMinimalCommonMultiples:
                 if any(e < 0 for e in cof) or not A.member(cof):
                     continue
                 assert any(divides_exponentwise(a, cand) for a in outs)
+
+
+def _vectors(width, degree):
+    """Exponent vectors of one total degree."""
+    if width == 1:
+        yield (degree,)
+        return
+    for head in range(degree + 1):
+        for tail in _vectors(width - 1, degree - head):
+            yield (head,) + tail
+
+
+def _closure(gens, width, top):
+    """Every sum of generators of total degree <= top, the identity included."""
+    seen = {(0,) * width}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in gens:
+                s = tuple(x + y for x, y in zip(v, g))
+                if sum(s) <= top and s not in seen:
+                    seen.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return seen
 
 
 def test_zero_monomial_conventions():

@@ -302,6 +302,41 @@ class TestMaskedReducerLookup:
         assert 0 < hits < 400
 
 
+class TestProductTable:
+    """Regular reduction builds shifted reducers through the SigSet's table."""
+
+    def test_runs_do_not_share_a_table(self):
+        _, gens = katsura(4, PrimeField(32003))
+        pre = make_prebasis_shifted(gens, "top")
+        first, second = (run(pre, Strategy.f5()).basis for _ in range(2))
+        assert first._products and first._products is not second._products
+        assert first._products.keys() == second._products.keys()
+        mine = {id(m) for _, m in first._products.values()}
+        assert not any(id(m) in mine for _, m in second._products.values())
+        assert pre._products == {}
+
+    @pytest.mark.parametrize("strategy", [Strategy.f5_pruned(), Strategy.f4(4)],
+                             ids=["f5-pruned", "f4"])
+    def test_one_entry_per_distinct_product_monomial(self, strategy, monkeypatch):
+        seen = set()
+        calls = 0
+        plain = Element.mul_monomial
+
+        def recording(self, a, products=None):
+            nonlocal calls
+            if products is not None:
+                calls += 1
+                seen.update((tuple(x + y for x, y in zip(a.exps, m.exps)), m.indices)
+                            for _, m, _ in self.terms)
+            return plain(self, a, products)
+
+        monkeypatch.setattr(Element, "mul_monomial", recording)
+        _, gens = katsura(4, PrimeField(32003))
+        G = run(make_prebasis_shifted(gens, "top"), strategy).basis
+        assert calls > 0
+        assert G._products.keys() == seen
+
+
 class TestMonomialChecks:
     def test_constructor_rejects_negative_exponent(self):
         with pytest.raises(StructureError):
