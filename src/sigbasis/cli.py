@@ -290,17 +290,22 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+_STRATEGY_FLAGS = {
+    "in-order": Strategy.in_order,
+    "min-lm": Strategy.min_lm,
+    "f5": Strategy.f5,
+    "f5-pruned": Strategy.f5_pruned,
+    "f4": lambda: Strategy.f4(4),
+}
+
+
 def _arg_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="sigbasis", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="compute a certified rewrite basis")
     runp.add_argument("file", nargs="?", help="problem file (or use --builtin)")
     runp.add_argument("--builtin", help="builtin system: mora, katsuraN (3<=N<=8)")
-    runp.add_argument(
-        "--strategy",
-        default="in-order",
-        choices=["in-order", "min-lm", "f5", "f5-pruned", "f4"],
-    )
+    runp.add_argument("--strategy", default="in-order", choices=list(_STRATEGY_FLAGS))
     runp.add_argument("--batch", type=int, default=None, metavar="K",
                       help="f4 batch size (default 4; f4 only)")
     runp.add_argument("--sig-order", choices=["pot", "top"], default=None)
@@ -319,14 +324,6 @@ def _arg_parser() -> argparse.ArgumentParser:
     runp.add_argument("--debug-invariants", type=int, default=0, metavar="STRIDE",
                       help="assert the queue invariant every STRIDE iterations")
     return p
-
-
-_STRATEGY_FLAGS = {
-    "in-order": Strategy.in_order,
-    "min-lm": Strategy.min_lm,
-    "f5": Strategy.f5,
-    "f5-pruned": Strategy.f5_pruned,
-}
 
 
 def _load_problem(args) -> ProblemSpec:
@@ -372,11 +369,10 @@ def main(argv=None) -> int:
 
 
 def _strategy(args) -> Strategy:
-    if args.strategy == "f4":
-        return Strategy.f4(4 if args.batch is None else args.batch)
-    if args.batch is not None:
+    if args.batch is not None and args.strategy != "f4":
         raise ParseError(f"--batch applies to --strategy f4 only, not {args.strategy}")
-    return _STRATEGY_FLAGS[args.strategy]()
+    strategy = _STRATEGY_FLAGS[args.strategy]()
+    return strategy if args.batch is None else replace(strategy, batch_size=args.batch)
 
 
 def _limits(args) -> Limits:

@@ -1,17 +1,17 @@
 """Rewrite-basis main loop, sigtrees, the combinatorial certificate, exports.
 
-One loop body realizes every strategy.  Each iteration pops a batch of the
-smallest pending signatures (one signature, or k for ``f4``), selects a
-reductant for each per the strategy's selector and skips those with nothing
-to reduce, regular-reduces the rest in ascending order against the basis and
-the batch's earlier results, and inserts them with provenance recorded in a
-forest of reduction ancestry (the sigtree).  Termination rests on the
-well-formedness of that forest; the invariant can be asserted at loop heads
-in debug runs.  In a ring with the full monoid, a picked signature divisible
-by the leading signature of a principal (Koszul) syzygy between two nonzero
-members is inserted as a zero-part marker without being reduced.  The test
-reads the basis itself: a nonzero member g whose signature divides the picked
-one, and a member h whose leading monomial divides the multiplier.
+One loop body realizes every strategy.  Each iteration pops the strategy's
+batch of the smallest pending signatures, selects a reductant for each per
+its selector and skips those with nothing to reduce, regular-reduces the
+rest in ascending order against the basis and the batch's earlier results,
+and inserts them with provenance recorded in a forest of reduction ancestry
+(the sigtree).  Termination rests on the well-formedness of that forest; the
+invariant can be asserted at loop heads in debug runs.  In a ring with the
+full monoid, a picked signature divisible by the leading signature of a
+principal (Koszul) syzygy between two nonzero members is inserted as a
+zero-part marker without being reduced.  The test reads the basis itself: a
+nonzero member g whose signature divides the picked one, and a member h whose
+leading monomial divides the multiplier.
 """
 
 from __future__ import annotations
@@ -52,25 +52,31 @@ __all__ = [
     "export_dot",
 ]
 
-STRATEGY_KINDS = ("in_order", "min_lm", "f5", "f5_pruned", "f4")
-
-
 @dataclass(frozen=True, slots=True)
 class Strategy:
-    kind: str
+    """Three independent choices: the reductant rule (``select``), how many of
+    the smallest pending signatures one iteration pops (``batch_size``), and
+    whether the queue drops those that another pending one divides (``prune``)."""
+
+    select: str
     batch_size: int = 1
+    prune: bool = False
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ContractError(f"unknown strategy {self.kind!r}")
-        if self.batch_size < 1:
-            raise ContractError("batch size must be >= 1")
-        if self.batch_size > 1 and self.kind != "f4":
-            raise ContractError(f"strategy {self.kind!r} pops one signature at a time")
+        if self.select not in ("sigtree", "f5", "min_lm"):
+            raise ContractError(f"unknown selector {self.select!r}")
+        if type(self.batch_size) is not int or self.batch_size < 1:
+            raise ContractError(f"batch size must be an int >= 1, got {self.batch_size!r}")
+        if type(self.prune) is not bool:
+            raise ContractError(f"prune must be a bool, got {self.prune!r}")
+        # pruning leaves a multiple of sigma to the pairs of the member that f5's
+        # newest-realizer rule picks at sigma: other choices fail certificates
+        if self.prune and (self.select != "f5" or self.batch_size != 1):
+            raise ContractError("pruning needs f5 selection and batch size 1")
 
     @classmethod
     def in_order(cls):
-        return cls("in_order")
+        return cls("sigtree")
 
     @classmethod
     def min_lm(cls):
@@ -82,11 +88,11 @@ class Strategy:
 
     @classmethod
     def f5_pruned(cls):
-        return cls("f5_pruned")
+        return cls("f5", prune=True)
 
     @classmethod
     def f4(cls, batch_size: int):
-        return cls("f4", batch_size)
+        return cls("sigtree", batch_size)
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,8 +278,8 @@ def _koszul_multiple(sigma: Monomial, G: SigSet) -> bool:
     return False
 
 
-def _check_invariant(G: SigSet, Q: CriticalQueue, pruned: bool, cache: dict):
-    spec = G.monoid
+def _check_invariant(G: SigSet, Q: CriticalQueue, cache: dict):
+    spec, pruned = G.monoid, Q.pruned_mode
     pending = Q.snapshot()
     # the critical set and rewrite_basis_at only change when the
     # append-only G grows, so both are cached per size of G
@@ -323,8 +329,7 @@ def run(
     emit = _TraceWriter(trace, ctx.variables)
     G = SigSet(ctx, prebasis.sig_order, (), origin=prebasis.origin)
     tree = SigTree()
-    pruned = strategy.kind == "f5_pruned"
-    Q = CriticalQueue(prebasis.sig_order, ctx.monoid, pruned_mode=pruned, trace=emit)
+    Q = CriticalQueue(G.sig_order, ctx.monoid, pruned_mode=strategy.prune, trace=emit)
     stats = RunStats()
     rng = random.Random(pop_shuffle_seed) if pop_shuffle_seed is not None else None
     invariant_cache = {}
@@ -356,12 +361,10 @@ def run(
     # built per call: a selector rebound on the module (a tracing wrapper,
     # say) takes effect on the next run
     select = {
-        "in_order": sigtree,
-        "f4": sigtree,
-        "min_lm": by_member(_select_min_lm),
+        "sigtree": sigtree,
         "f5": by_member(select_reductant_f5),
-        "f5_pruned": by_member(select_reductant_f5),
-    }[strategy.kind]
+        "min_lm": by_member(_select_min_lm),
+    }[strategy.select]
 
     while len(Q):
         if stats.insertions >= limits.max_insertions:
@@ -369,7 +372,7 @@ def run(
         if monotonic() > deadline:
             raise LimitExceeded("time cap exceeded", partial=partial())
         if debug_invariant_stride and stats.iterations % debug_invariant_stride == 0:
-            _check_invariant(G, Q, pruned, invariant_cache)
+            _check_invariant(G, Q, invariant_cache)
         stats.iterations += 1
 
         if rng is None:

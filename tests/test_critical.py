@@ -220,6 +220,8 @@ class TestInvariants:
             Strategy.f5(),
             Strategy.f5_pruned(),
             Strategy.f4(3),
+            Strategy("f5", 3),
+            Strategy("min_lm", 3),
         ],
     )
     def test_queue_invariant_every_head_on_mora(self, mora_gens, strategy):

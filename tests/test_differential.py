@@ -1,11 +1,12 @@
 """Differential test of the engine loop against the Buchberger oracle.
 
 Fixed-seed random systems in two or three variables, total degree at most 3,
-over Q and GF(32003), in the ring setting: every strategy preset, both
-signature orders and both signature initializations must give the oracle's
-leading-monomial ideal.  Restricted multiplier monoids are left out: the
-mora system in ``degmin=2`` is a known wrong answer of the engine, so a
-random monoid case would test that defect rather than the loop.
+over Q and GF(32003), in the ring setting: every strategy preset and the
+batched f5 and min_lm selections, both signature orders and both signature
+initializations must give the oracle's leading-monomial ideal.  Restricted
+multiplier monoids are left out: the mora system in ``degmin=2`` is a known
+wrong answer of the engine, so a random monoid case would test that defect
+rather than the loop.
 """
 
 import random
@@ -19,12 +20,15 @@ from sigbasis.sigcore import make_prebasis_shifted, make_prebasis_unshifted
 from sigbasis.textio import parse_element, render_element
 from sigbasis.verify import buchberger, lm_ideal_equal
 
-PRESETS = (
-    Strategy.in_order,
-    Strategy.min_lm,
-    Strategy.f5,
-    Strategy.f5_pruned,
-    lambda: Strategy.f4(3),
+# the five presets, then the batched selectors that no preset makes
+STRATEGIES = (
+    Strategy.in_order(),
+    Strategy.min_lm(),
+    Strategy.f5(),
+    Strategy.f5_pruned(),
+    Strategy.f4(3),
+    Strategy("f5", 3),
+    Strategy("min_lm", 3),
 )
 
 
@@ -58,11 +62,11 @@ def test_random_systems_match_oracle(seed, field):
     oracle = buchberger(gens, ctx.monoid).lm_set()
     for sig_order in ("top", "pot"):
         for make in (make_prebasis_shifted, make_prebasis_unshifted):
-            for preset in PRESETS:
-                res = run(make(gens, sig_order), preset())
+            for strategy in STRATEGIES:
+                res = run(make(gens, sig_order), strategy)
                 lms = {m.part.lm for m in res.basis.members if not m.part.is_zero}
                 assert lm_ideal_equal(lms, oracle, ctx.monoid), (
-                    seed, sig_order, make.__name__, preset()
+                    seed, sig_order, make.__name__, strategy
                 )
 
 
