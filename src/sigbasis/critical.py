@@ -1,14 +1,15 @@
 """Critical signatures and the pending-signature queue.
 
-A pairwise critical signature marks the smallest multiplier at which one
-sigpair's part becomes top-reducible by a multiple of another with strictly
-smaller shifted signature.  The queue holds pending signatures, optionally
+A critical signature belongs to an unordered pair of sigpairs: for a minimal
+common multiple a*lm(f) = b*lm(g), it is the larger of a*sig(f) and b*sig(g),
+owned by that side's member.  The queue holds pending signatures, optionally
 pruned so that no member properly divides another.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from itertools import combinations
 
 from .errors import ContractError
 from .monomials import (
@@ -28,22 +29,26 @@ __all__ = [
 
 
 def critical_pair_signatures(f: SigPair, g: SigPair, spec, sig_order):
-    """Signatures where a multiple of f first becomes reducible by g.
+    """The critical signatures of the pair {f, g}, as ``(on_f, on_g)``.
 
-    One candidate per minimal common multiple of the leading monomials; a
-    candidate is kept only when the g-side shifted signature is strictly
-    smaller (otherwise the reduction is not regular on this orientation).
+    For each minimal common multiple a*lm(f) = b*lm(g), a*sig(f) goes to
+    ``on_f`` when b*sig(g) is strictly smaller, and b*sig(g) to ``on_g`` when
+    a*sig(f) is; a tie gives nothing.  Each side ascends by signature key;
+    swapping f and g swaps the sides (a - a' = b - b').
     """
     if f.part.is_zero or g.part.is_zero:
-        return ()
+        return (), ()
     key = sig_order.key
-    out = []
+    on_f, on_g = set(), set()
     for a, b in minimal_common_multiples(f.part.lm, g.part.lm, spec):
         sa = f.sig.mul(a)
         sb = g.sig.mul(b)
-        if key(sb) < key(sa):
-            out.append(sa)
-    return tuple(sorted(set(out), key=key))
+        ka, kb = key(sa), key(sb)
+        if kb < ka:
+            on_f.add(sa)
+        elif ka < kb:
+            on_g.add(sb)
+    return tuple(sorted(on_f, key=key)), tuple(sorted(on_g, key=key))
 
 
 def _undivided(ascending, divides):
@@ -62,13 +67,16 @@ def _undivided(ascending, divides):
 
 
 def critical_set(G: SigSet) -> set[Monomial]:
-    """Union over members of their pairwise critical signatures, kept minimal
-    (exponentwise) per source member."""
-    spec = G.monoid
-    order = G.sig_order
+    """Union over members of the critical signatures they own, kept minimal
+    (exponentwise) per member.  Each unordered pair is searched once."""
+    spec, order = G.monoid, G.sig_order
+    owned = [set() for _ in G.members]
+    for (i, f), (j, g) in combinations(enumerate(G.members), 2):
+        on_f, on_g = critical_pair_signatures(f, g, spec, order)
+        owned[i].update(on_f)
+        owned[j].update(on_g)
     out = set()
-    for f in G.members:
-        cands = {s for g in G.members for s in critical_pair_signatures(f, g, spec, order)}
+    for cands in owned:
         out.update(_undivided(sorted(cands, key=order.key), divides_exponentwise))
     return out
 
@@ -156,15 +164,14 @@ class CriticalQueue:
 
 
 def queue_update(Q: CriticalQueue, g: SigPair, G: SigSet):
-    """Add the pairwise critical signatures of g against every member, both
-    orientations, then prune when the queue runs in pruned mode."""
+    """Add the critical signatures of every pair {g, h} with h a member,
+    sourced (owner id, other id); prune when the queue runs pruned."""
     spec, order = G.monoid, G.sig_order
     for h in G.members:
-        for sigma in critical_pair_signatures(g, h, spec, order):
+        on_g, on_h = critical_pair_signatures(g, h, spec, order)
+        for sigma in on_g:
             Q.add(sigma, (g.id, h.id))
-        if h.id != g.id:
-            for sigma in critical_pair_signatures(h, g, spec, order):
-                Q.add(sigma, (h.id, g.id))
+        for sigma in on_h:
+            Q.add(sigma, (h.id, g.id))
     if Q.pruned_mode:
         Q.prune()
-    return Q

@@ -169,21 +169,20 @@ class MonoidSpec:
     * ``full`` -- every exponent vector;
     * ``degree_truncated`` -- the identity plus every monomial of total
       degree >= ``min_degree``, minus an explicit finite exclusion list;
-    * ``generated`` -- all products of a finite generator list, membership
-      decided by memoized descent over the generators.  The list must be
-      every monomial of one total degree d, so the members are the monomials
-      of total degree divisible by d; only for such lists is the
-      common-multiple search known to be complete (``minimal_common_multiples``).
+    * ``generated`` -- all products of a finite generator list.  The list
+      must be every monomial of one total degree d, so the members are the
+      monomials of total degree divisible by d, and membership is that
+      degree test; only for such lists is the common-multiple search known
+      to be complete (``minimal_common_multiples``).
     """
 
-    __slots__ = ("kind", "min_degree", "exclusions", "generators", "_member_cache")
+    __slots__ = ("kind", "min_degree", "exclusions", "generators")
 
     def __init__(self, kind, min_degree=0, exclusions=(), generators=()):
         self.kind = kind
         self.min_degree = min_degree
         self.exclusions = frozenset(exclusions)
         self.generators = tuple(generators)
-        self._member_cache = {}
         if kind == "degree_truncated":
             self._validate_truncated()
         elif kind == "generated":
@@ -246,28 +245,15 @@ class MonoidSpec:
     def member(self, exps: tuple[int, ...]) -> bool:
         if self.kind == "full":
             return True
-        if self.kind == "degree_truncated":
-            d = sum(exps)
-            if d == 0:
-                return True
-            return d >= self.min_degree and exps not in self.exclusions
-        cached = self._member_cache.get(exps)
-        if cached is not None:
-            return cached
-        result = self._member_generated(exps)
-        self._member_cache[exps] = result
-        return result
-
-    def _member_generated(self, exps) -> bool:
-        if sum(exps) == 0:
+        d = sum(exps)
+        if d == 0:
             return True
-        for g in self.generators:
-            if len(g) != len(exps):
-                raise StructureError("generator width mismatch")
-            rest = tuple(x - y for x, y in zip(exps, g))
-            if all(e >= 0 for e in rest) and self.member(rest):
-                return True
-        return False
+        if self.kind == "degree_truncated":
+            return d >= self.min_degree and exps not in self.exclusions
+        g0 = self.generators[0]
+        if len(g0) != len(exps):
+            raise StructureError("generator width mismatch")
+        return d % sum(g0) == 0
 
     def elements_up_to(self, width: int, max_degree: int):
         """All members of total degree <= max_degree, ascending by degree."""

@@ -13,7 +13,9 @@ engine runs.  The oracle reduces with ``Element.sub_scaled`` only.  Over Q
 the engine uses its own fraction-free kernel, but over GF(p) the engine's
 field loop (``top_reduce_step``) reduces through ``sub_scaled`` too, so
 there the two share a kernel; the tests compare the oracle with sympy's
-Groebner bases, which share no code with this package.
+Groebner bases, which share no code with this package.  One product table
+per ``buchberger`` or ``is_groebner_basis`` call shares immutable product
+monomials only; the reduction stays ``sub_scaled``.
 
 The bounded checks are exact linear algebra over degree-bounded slices.
 Each feeds its products, in signature order, into one incremental
@@ -57,7 +59,7 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def _full_reduce(f: Element, reducers, spec) -> Element:
+def _full_reduce(f: Element, reducers, spec, products=None) -> Element:
     """Divide every term of f by the reducer list (not only the top)."""
     ctx = f.ctx
     out = []
@@ -69,7 +71,7 @@ def _full_reduce(f: Element, reducers, spec) -> Element:
                 continue
             b = divide(g.lm, target, spec)
             if b is not None:
-                hit = g.mul_monomial(b)
+                hit = g.mul_monomial(b, products)
                 break
         if hit is None:
             out.append((target, f.lc))
@@ -80,9 +82,9 @@ def _full_reduce(f: Element, reducers, spec) -> Element:
     return Element.from_terms(ctx, out)
 
 
-def _spair(f: Element, g: Element, a: Monomial, b: Monomial) -> Element:
-    fa = f.mul_monomial(a)
-    gb = g.mul_monomial(b)
+def _spair(f: Element, g: Element, a: Monomial, b: Monomial, products) -> Element:
+    fa = f.mul_monomial(a, products)
+    gb = g.mul_monomial(b, products)
     lam = f.ctx.field.div(fa.lc, gb.lc)
     return fa.sub_scaled(gb, lam)
 
@@ -142,6 +144,7 @@ def buchberger(
     if not basis:
         return GroebnerBasis(())
     criteria = spec.kind == "full"
+    products = {}
     pairs = []
     live = {}  # counter -> (i, j, common multiple) of every pair still pending
     counter = 0
@@ -170,8 +173,8 @@ def buchberger(
         _check_deadline(deadline)
         if live.pop(key, None) is None:
             continue
-        s = _spair(basis[i], basis[j], a, b)
-        r = _full_reduce(s, basis, spec)
+        s = _spair(basis[i], basis[j], a, b, products)
+        r = _full_reduce(s, basis, spec, products)
         if r.is_zero:
             continue
         basis.append(r.monic())
@@ -179,10 +182,10 @@ def buchberger(
         if inserted > max_insertions:
             raise LimitExceeded("oracle insertion cap exceeded")
         push_pairs(len(basis) - 1)
-    return GroebnerBasis(tuple(_interreduce(basis, spec)))
+    return GroebnerBasis(tuple(_interreduce(basis, spec, products)))
 
 
-def _interreduce(basis, spec):
+def _interreduce(basis, spec, products):
     """Drop members with divisible leading monomials, then tail-reduce.
 
     Scanning by ascending leading monomial is complete: a divisor's leading
@@ -199,7 +202,7 @@ def _interreduce(basis, spec):
             continue
         minimal.append(g)
     out = [
-        _full_reduce(g, [h for h in minimal if h is not g], spec).monic()
+        _full_reduce(g, [h for h in minimal if h is not g], spec, products).monic()
         for g in minimal
     ]
     out.sort(key=lambda e: key(e.lm))
@@ -209,11 +212,12 @@ def _interreduce(basis, spec):
 def is_groebner_basis(elems, spec) -> bool:
     """Closure check: every S-pair reduces to zero over the set itself."""
     elems = [e for e in elems if not e.is_zero]
+    products = {}
     for i in range(len(elems)):
         for j in range(i):
             for a, b in minimal_common_multiples(elems[i].lm, elems[j].lm, spec):
-                s = _spair(elems[i], elems[j], a, b)
-                if not _full_reduce(s, elems, spec).is_zero:
+                s = _spair(elems[i], elems[j], a, b, products)
+                if not _full_reduce(s, elems, spec, products).is_zero:
                     return False
     return True
 
@@ -296,13 +300,15 @@ def bounded_signature_basis_check(
 def bounded_syzygy_check(
     input_gens, result, D: int, *, deadline: float | None = None
 ) -> CheckReport:
-    """Kernel cover check for a shifted-prebasis run.
+    """Kernel cover check for a shifted-prebasis run, or for no generators.
 
     Computes, degree by degree, the leading monomials of the kernel of
     (c_1, ..., c_r) -> sum c_i g_i under the shifted signature order, and
     requires each to be divisible by a reported syzygy signature.
     """
     gens = [g.monic() for g in input_gens]
+    if not gens:
+        return CheckReport(True, [])
     if result.basis.origin != "shifted":
         raise ContractError("syzygy cover check needs a shifted-prebasis run")
     ctx = gens[0].ctx

@@ -152,6 +152,17 @@ class TestMainExitCodes:
         path.write_text("vars: x\ngens:\n")
         assert main(["run", str(path)]) == 0
 
+    def test_empty_generator_list_verify_deep(self, tmp_path, capsys):
+        # a shifted run with nothing to check: the empty kernel is covered
+        path = tmp_path / "empty.sys"
+        path.write_text("vars: y x\ngens:\n")
+        assert main(["run", str(path), "--verify-deep", "3"]) == 0
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("verify-deep:")] == [
+            "verify-deep: signature-slices=pass",
+            "verify-deep: syzygy-cover=pass",
+        ]
+
     def test_parse_error_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.sys"
         bad.write_text("vars: x\ngens:\nx - q\n")

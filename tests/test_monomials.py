@@ -136,6 +136,17 @@ class TestMonoidMember:
         assert A.member((3, 1))  # x^2 * xy
         assert not A.member((3, 0))  # odd total degree
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_generated_member_is_the_degree_test(self, width, d):
+        # every monomial of degree d generates exactly the degrees divisible by d
+        gens = list(_vectors(width, d))
+        A = MonoidSpec.generated(gens)
+        closure = _closure(gens, width, 9)
+        for k in range(10):
+            for v in _vectors(width, k):
+                assert A.member(v) == (v in closure), v
+
     def test_truncated_closure_validation(self):
         # excluding x^2*y^2 breaks closure: xy * xy lands on it
         with pytest.raises(StructureError):
@@ -205,6 +216,24 @@ class TestMinimalCommonMultiples:
         with pytest.raises(StructureError, match="one total degree"):
             MonoidSpec.generated(gens)
 
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "kind", ["full", "degmin2", "degmin2-excl", "degmin3", "degmin3-excl", "generated2"]
+    )
+    def test_swapped_arguments_swap_the_pairs(self, kind, width):
+        # The critical layer searches each unordered pair once and reads the
+        # other orientation off the swapped pairs (a - a' = b - b').  This
+        # fails if one orientation's search box misses a minimal multiple
+        # that the other finds.
+        A = _orientation_spec(kind, width)
+        rng = random.Random(1013 * width)
+        for _ in range(40):
+            lhs = Monomial(tuple(rng.randint(0, 4) for _ in range(width)))
+            rhs = Monomial(tuple(rng.randint(0, 4) for _ in range(width)))
+            fwd = minimal_common_multiples(lhs, rhs, A)
+            bwd = minimal_common_multiples(rhs, lhs, A)
+            assert set(fwd) == {(b, a) for a, b in bwd}, (lhs, rhs)
+
     def test_output_pairwise_incomparable_and_covering(self):
         # Every solution in a bounded enumeration sits above some output.
         A = MonoidSpec.degree_truncated(2)
@@ -251,6 +280,20 @@ def _closure(gens, width, top):
                     nxt.append(s)
         frontier = nxt
     return seen
+
+
+def _orientation_spec(kind, width):
+    if kind == "full":
+        return FULL
+    if kind == "generated2":
+        return MonoidSpec.generated(list(_vectors(width, 2)))
+    d = int(kind[len("degmin")])
+    excl = ()
+    if kind.endswith("-excl"):
+        # one vector of degree d and one of degree d + 1: a product of two
+        # members has degree >= 2d > d + 1, so the monoid stays closed
+        excl = [(d,) + (0,) * (width - 1), (0,) * (width - 1) + (d + 1,)]
+    return MonoidSpec.degree_truncated(d, excl)
 
 
 def test_zero_monomial_conventions():

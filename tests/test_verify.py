@@ -308,6 +308,11 @@ class TestBoundedSyzygyCheck:
         report = bounded_syzygy_check(gens, res, 6)
         assert report.ok and report.details == ()
 
+    def test_no_generators_empty_kernel(self):
+        res = run(make_prebasis_shifted([], "top"), Strategy.in_order())
+        report = bounded_syzygy_check([], res, 3)
+        assert report.ok and report.violations == [] and report.details == ()
+
     def test_duplicate_generators_forced_syzygy(self, univar_ctx):
         gens = [elem(univar_ctx, "x - 1"), elem(univar_ctx, "x - 1")]
         res = run(make_prebasis_shifted(gens, "top"), Strategy.in_order())
