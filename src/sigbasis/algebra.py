@@ -6,11 +6,15 @@ coefficients.  All arithmetic is exact: rationals (gmpy2 ``mpq`` when
 available, ``fractions.Fraction`` otherwise) or a prime residue field.
 Values are immutable and safe to share.
 
-Top reduction (``normal_form_with_steps``) over Q runs on integers: the
-element and each reducer are cleared of denominators, combined with integer
+Each term carries its order key, one int that is additive under the monoid
+action (``ScalarOrder``).  Top reduction (``normal_form_with_steps``) uses
+that: a step f - lam * b * g walks g's terms with their keys shifted by one
+add and never builds b * g; only a term that survives as a new term of the
+result takes a product monomial, from a table kept by the caller.  Over
+GF(p) the step is a modular merge.  Over Q it runs on integers: the element
+and each reducer are cleared of denominators, combined with integer
 cofactors, and divided by their content, while one exact rational scale
 tracks the factor taken out; the result becomes rational once, at the end.
-Over GF(p) it runs the field loop of ``top_reduce_step``.
 
 It is the library's one exact elimination.  ``SpanEchelon`` builds the
 echelon of a span incrementally on it, keeping one top-reduced row per
@@ -247,12 +251,12 @@ class Element:
     def mul_monomial(self, a: Monomial, products=None) -> "Element":
         """Left action by an index-free monomial; order is preserved by M2.
 
-        ``products`` maps a product's ``(exps, indices)`` to its ``(order
-        key, Monomial)`` under this context's order.  Each product term is
-        looked up there and built only on a miss, so a caller that keeps one
-        table across many products (a ``SigSet`` does) builds each distinct
-        product monomial and key once and shares them.  Without a table a
-        fresh one is used.
+        A product term's key is its term's key plus the order's ``shift(a)``.
+        ``products`` maps an order key to its Monomial under this context's
+        order.  Each product monomial is looked up there and built only on a
+        miss, so a caller that keeps one table across many products (a
+        ``SigSet`` does) builds each distinct product monomial once and
+        shares it.  Without a table a fresh one is used.
         """
         if a.is_zero:
             raise ContractError("cannot multiply by the zero monomial")
@@ -267,14 +271,11 @@ class Element:
         if products is None:
             products = {}
         key = self.ctx.order.key
+        d = self.ctx.order.shift(a)
         out = []
-        for _, m, c in self.terms:
-            spot = (tuple(map(add, exps, m.exps)), m.indices)
-            hit = products.get(spot)
-            if hit is None:
-                prod = Monomial(*spot)
-                hit = products[spot] = (key(prod), prod)
-            out.append(hit + (c,))
+        for k, m, c in self.terms:
+            k += d
+            out.append((k, products.get(k) or _product(exps, m, k, products, key), c))
         return Element(self.ctx, tuple(out))
 
     def sub_scaled(self, other: "Element", lam) -> "Element":
@@ -333,25 +334,86 @@ def top_reduce_step(f: Element, e: Element) -> Element:
     return f.sub_scaled(e, lam)
 
 
-def normal_form_with_steps(f: Element, admit) -> tuple[Element, int]:
+def _product(exps, m, k, products, key):
+    """The monomial exps * m of order key k, built on a table miss.
+
+    The order key refuses a product past the field width before the table
+    takes it, so every key in the table is its monomial's true key.
+    """
+    prod = Monomial(tuple(map(add, exps, m.exps)), m.indices)
+    key(prod)
+    products[k] = prod
+    return prod
+
+
+def _reducer(found, lead: Monomial):
+    """The reducer and its multiplier (None: unshifted) from ``admit``."""
+    e, b = found if type(found) is tuple else (found, None)
+    if not e.terms or (b is None and e.terms[0][1] != lead):
+        raise ContractError("top reduction needs matching nonzero leading monomials")
+    return e, b
+
+
+def normal_form_with_steps(f: Element, admit, products=None, rows=None) -> tuple[Element, int]:
     """Iterate top reduction with reducers supplied by ``admit``.
 
-    ``admit`` maps a nonzero monomial to a reducer element with that leading
-    monomial, or None.  Terminates because the leading monomial strictly
-    decreases in a well-order.  Over Q the reduction runs on integers (see
-    ``_fraction_free_normal_form``) and returns the same element as the
-    field loop, which GF(p) runs.
+    ``admit`` maps a nonzero monomial to None, to a reducer element with that
+    leading monomial, or to a pair ``(g, b)`` with ``b * lm(g)`` equal to it.
+    A step f - lam * b * g never builds b * g: it walks g's terms with their
+    keys shifted by d = key(lm f) - key(lm g) (keys are additive), and only a
+    term that survives as a new term of the result takes a product monomial,
+    from ``products`` (order key -> Monomial, the table of
+    ``Element.mul_monomial``); merged and cancelled terms keep f's monomial
+    or none.  Over GF(p) the step is a modular merge.  Over Q it runs on
+    integer rows (see ``_fraction_free_normal_form``), and ``rows`` keeps each
+    reducer's cleared row across calls.  Both return what plain top reduction
+    (``top_reduce_step`` on b * g) returns.  Terminates because the leading
+    monomial strictly decreases in a well-order.
     """
+    if products is None:
+        products = {}
     if isinstance(f.ctx.field, RationalField):
-        return _fraction_free_normal_form(f, admit)
+        return _fraction_free_normal_form(f, admit, products, rows)
+    return _modular_normal_form(f, admit, products)
+
+
+def _modular_normal_form(f: Element, admit, products) -> tuple[Element, int]:
+    """Top reduction over GF(p): one merge per step, residues reduced inline."""
+    found = admit(f.lm) if f.terms else None
+    if found is None:
+        return f, 0
+    p = f.ctx.field.p
+    key = f.ctx.order.key
+    F = f.terms
     steps = 0
-    while not f.is_zero:
-        e = admit(f.lm)
-        if e is None:
-            break
-        f = top_reduce_step(f, e)
+    while found is not None:
+        e, b = _reducer(found, F[0][1])
+        E = e.terms
+        d = F[0][0] - E[0][0]
+        lam = F[0][2] * pow(E[0][2], -1, p) % p
+        # F - lam * b * E; the leading terms cancel and are skipped
+        out = []
+        append = out.append
+        i, nf = 1, len(F)
+        for k, m, c in E[1:]:
+            k += d
+            while i < nf and F[i][0] > k:
+                append(F[i])
+                i += 1
+            if i < nf and F[i][0] == k:
+                c = (F[i][2] - lam * c) % p
+                if c:
+                    append((k, F[i][1], c))
+                i += 1
+            else:
+                if b is not None:
+                    m = products.get(k) or _product(b.exps, m, k, products, key)
+                append((k, m, -lam * c % p))
+        out.extend(F[i:])
+        F = out
         steps += 1
-    return f, steps
+        found = admit(F[0][1]) if F else None
+    return Element(f.ctx, tuple(F)), steps
 
 
 def _cleared(terms):
@@ -359,6 +421,17 @@ def _cleared(terms):
     dens = [c.denominator for _, _, c in terms]
     den = lcm(*dens)
     return [(k, m, c.numerator * (den // q)) for (k, m, c), q in zip(terms, dens)], den
+
+
+def _row(e: Element, rows):
+    """e's cleared integer terms, kept in ``rows`` (if given) by e's identity;
+    the entry holds e, so the identity is not reused while it is kept."""
+    if rows is None:
+        return _cleared(e.terms)[0]
+    hit = rows.get(id(e))
+    if hit is None:
+        hit = rows[id(e)] = (_cleared(e.terms)[0], e)
+    return hit[0]
 
 
 def _content(values) -> int:
@@ -371,52 +444,49 @@ def _content(values) -> int:
     return g
 
 
-def _fraction_free_normal_form(f: Element, admit) -> tuple[Element, int]:
+def _fraction_free_normal_form(f: Element, admit, products, rows) -> tuple[Element, int]:
     """Top reduction over Q on integer rows with one exact scale.
 
     f is kept as scale * F with F integral.  A step against the cleared
-    reducer E replaces F by (lc E / g) * F - (lc F / g) * E, g = gcd of the
-    two leading coefficients, and divides out the content of the result
-    (integer-preserving elimination: Bareiss 1968; Knuth, TAOCP 4.6.1).
-    Rationals are formed once, at the end.
+    reducer E, shifted by b, replaces F by (lc E / g) * F - (lc F / g) * b*E,
+    g = gcd of the two leading coefficients, and divides out the content of
+    the result (integer-preserving elimination: Bareiss 1968; Knuth, TAOCP
+    4.6.1).  Rationals are formed once, at the end.
     """
-    e = admit(f.lm) if f.terms else None
-    if e is None:
+    found = admit(f.lm) if f.terms else None
+    if found is None:
         return f, 0
+    key = f.ctx.order.key
     F, den = _cleared(f.terms)
     scale = _ratio(1, den)
     steps = 0
-    while e is not None:
-        if not e.terms or e.terms[0][1] != F[0][1]:
-            raise ContractError("top reduction needs matching nonzero leading monomials")
-        E, _ = _cleared(e.terms)
+    while found is not None:
+        e, b = _reducer(found, F[0][1])
+        E = _row(e, rows)
+        d = F[0][0] - E[0][0]
         ce, cf = E[0][2], F[0][2]
         g = gcd(ce, cf)
-        a, b = ce // g, cf // g
-        # a * F - b * E; the leading terms cancel and are skipped
+        u, v = ce // g, cf // g
+        # u * F - v * b * E; the leading terms cancel and are skipped
         out = []
         append = out.append
-        i = j = 1
-        nf, ne = len(F), len(E)
-        while i < nf and j < ne:
-            kf = F[i][0]
-            ke = E[j][0]
-            if kf > ke:
-                _, m, c = F[i]
-                append((kf, m, a * c))
+        i, nf = 1, len(F)
+        for k, m, c in E[1:]:
+            k += d
+            while i < nf and F[i][0] > k:
+                kf, mf, x = F[i]
+                append((kf, mf, u * x))
                 i += 1
-            elif kf < ke:
-                _, m, c = E[j]
-                append((ke, m, -b * c))
-                j += 1
-            else:
-                c = a * F[i][2] - b * E[j][2]
+            if i < nf and F[i][0] == k:
+                c = u * F[i][2] - v * c
                 if c:
-                    append((kf, F[i][1], c))
+                    append((k, F[i][1], c))
                 i += 1
-                j += 1
-        out.extend([(k, m, a * c) for k, m, c in F[i:]])
-        out.extend([(k, m, -b * c) for k, m, c in E[j:]])
+            else:
+                if b is not None:
+                    m = products.get(k) or _product(b.exps, m, k, products, key)
+                append((k, m, -v * c))
+        out.extend([(k, m, u * c) for k, m, c in F[i:]])
         steps += 1
         if not out:
             return Element(f.ctx, ()), steps
@@ -425,7 +495,7 @@ def _fraction_free_normal_form(f: Element, admit) -> tuple[Element, int]:
             out = [(k, m, c // content) for k, m, c in out]
         F = out
         scale = scale * _ratio(g * content, ce)
-        e = admit(F[0][1])
+        found = admit(F[0][1])
     num, den = scale.numerator, scale.denominator
     return Element(f.ctx, tuple((k, m, _ratio(c * num, den)) for k, m, c in F)), steps
 

@@ -8,7 +8,7 @@ pruned so that no member properly divides another.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from itertools import combinations
 
 from .errors import ContractError
@@ -87,7 +87,8 @@ class CriticalQueue:
     The members are kept as one ascending list of ``(key, sigma)``; keys are
     unique per signature, so the tuple comparison never reaches ``sigma``.
     In pruned mode, members properly divided by another member are removed
-    after every update.  A source-pair map is kept for trace output only.
+    after every update, and the entries added since the last prune are
+    recorded for it.  A source-pair map is kept for trace output only.
     """
 
     def __init__(self, sig_order, spec, pruned_mode=False, trace=None):
@@ -97,6 +98,7 @@ class CriticalQueue:
         self.trace = trace
         self._entries = []
         self._sources = {}
+        self._added = []
 
     def __len__(self):
         return len(self._entries)
@@ -120,24 +122,45 @@ class CriticalQueue:
     def add(self, sigma: Monomial, source=()):
         if sigma in self._sources:
             return False
-        insort(self._entries, (self.sig_order.key(sigma), sigma))
+        entry = (self.sig_order.key(sigma), sigma)
+        insort(self._entries, entry)
+        if self.pruned_mode:
+            self._added.append(entry)
         self._sources[sigma] = tuple(source)
         self._emit("queue_add", sigma)
         return True
 
     def prune(self):
         """Remove members properly divided by a different member, in
-        ascending order."""
+        ascending order (pruned mode).
+
+        After a prune the queue is an antichain, and monoid division is
+        transitive, so only the entries added since then can change it: an
+        older member goes only if a newer one divides it, and a newer one
+        goes if any member does.  This is the set that scanning the whole
+        queue keeps.
+        """
         spec = self.spec
-        entries = self._entries
-        self._entries = _undivided(
-            entries, lambda t, s: divide(t[1], s[1], spec) is not None
-        )
-        kept = {sigma for _, sigma in self._entries}
-        for _, sigma in entries:
-            if sigma not in kept:
+        sources = self._sources
+        added = sorted({e for e in self._added if e[1] in sources})
+        self._added = []
+        if not added:
+            return
+        fresh = {sigma for _, sigma in added}
+        kept = []
+        for entry in self._entries:
+            k, sigma = entry
+            # a proper divisor sorts strictly below its multiple
+            if sigma in fresh:
+                divisors = kept
+            else:
+                divisors = added[: bisect_left(added, (k,))]
+            if any(divide(t, sigma, spec) is not None for _, t in divisors):
                 self._emit("queue_prune", sigma)
-                del self._sources[sigma]
+                del sources[sigma]
+            else:
+                kept.append(entry)
+        self._entries = kept
 
     def _pop(self, pos: int) -> Monomial:
         if not self._entries:
@@ -164,10 +187,12 @@ class CriticalQueue:
 
 
 def queue_update(Q: CriticalQueue, g: SigPair, G: SigSet):
-    """Add the critical signatures of every pair {g, h} with h a member,
-    sourced (owner id, other id); prune when the queue runs pruned."""
+    """Add the critical signatures of every pair {g, h} with h another
+    member, sourced (owner id, other id); prune when the queue runs pruned."""
     spec, order = G.monoid, G.sig_order
     for h in G.members:
+        if h is g:  # a pair with itself has no critical signature
+            continue
         on_g, on_h = critical_pair_signatures(g, h, spec, order)
         for sigma in on_g:
             Q.add(sigma, (g.id, h.id))

@@ -207,7 +207,7 @@ def select_reductant_sigtree(sigma: Monomial, tree: SigTree, G: SigSet, child_or
         raise ContractError("no root signature divides the requested signature")
     label = tree.nodes[k].label
     a = divide(label.sig, sigma, spec)
-    return k, a, multiply(a, label)
+    return k, a, multiply(a, label, G._products)
 
 
 def select_reductant_f5(sigma: Monomial, G: SigSet):
@@ -354,7 +354,7 @@ def run(
     def by_member(pick):
         def select(sigma):
             g, a = pick(sigma, G)
-            return g.id, a, multiply(a, g)
+            return g.id, a, multiply(a, g, G._products)
 
         return select
 

@@ -15,8 +15,9 @@ monoid member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import add, neg, sub
+from dataclasses import dataclass, field
+from operator import add, sub
+from struct import Struct
 
 from .errors import ContractError, StructureError
 
@@ -27,6 +28,7 @@ __all__ = [
     "ModuleOrder",
     "MonoidSpec",
     "divide",
+    "quotient_exps",
     "divides_exponentwise",
     "minimal_common_multiples",
 ]
@@ -80,7 +82,13 @@ def identity(width: int) -> Monomial:
     return Monomial((0,) * width)
 
 
-_KEY_ZERO = (0,)
+# Every order key is one int of fixed 32-bit fields.  A key is additive under
+# the monoid action: key(b*m) = key(m) + shift(b).  Keys refuse degrees above
+# _LIMIT, so a field of a product of two keyed monomials stays below 2**32 and
+# an added key never carries into the next field.
+_FIELD = 32
+_LIMIT = (1 << 31) - 1
+_KEY_ZERO = -1
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,49 +100,79 @@ class ScalarOrder:
     degree first, then breaks ties scanning from the smallest variable, a
     strictly larger exponent there making the monomial smaller.  ``lex``
     compares from the largest variable down.
+
+    The key packs 32-bit fields: for degrevlex the degree, then 2**32 - 1 - e
+    for each exponent from the smallest variable on; for lex the exponents
+    from the largest variable down.  ``bits`` is its width.
     """
 
     kind: str
     variables: tuple[str, ...]
+    bits: int = field(init=False, repr=False, compare=False)
+    _pack: Struct = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("degrevlex", "lex"):
             raise StructureError(f"unknown scalar order kind {self.kind!r}")
+        n = len(self.variables)
+        degrevlex = self.kind == "degrevlex"
+        object.__setattr__(self, "bits", _FIELD * (n + degrevlex))
+        object.__setattr__(self, "_pack", Struct(f"{'>' if degrevlex else '<'}{n}I"))
 
     @property
     def width(self) -> int:
         return len(self.variables)
 
-    def key(self, m: Monomial):
+    def key(self, m: Monomial) -> int:
         if m.is_zero:
             return _KEY_ZERO
         if m.indices:
             raise StructureError("scalar order applied to an indexed monomial")
         return self._exps_key(m.exps)
 
-    def _exps_key(self, exps):
+    def _exps_key(self, exps) -> int:
         if len(exps) != len(self.variables):
             raise StructureError(
                 f"monomial width {len(exps)} does not match {self.width} variables"
             )
+        d = sum(exps)
+        if d > _LIMIT:
+            raise StructureError(f"total degree {d} above the limit {_LIMIT}")
         if self.kind == "degrevlex":
-            return (1, sum(exps), tuple(map(neg, exps)))
-        return (1, tuple(reversed(exps)))
+            # d, then (2**32 - 1 - e_i) per field: (d + 1) * 2**(32n) - 1 - packed
+            low = self.bits - _FIELD
+            return ((d + 1) << low) - 1 - int.from_bytes(self._pack.pack(*exps), "big")
+        return int.from_bytes(self._pack.pack(*exps), "little")
+
+    def shift(self, a: Monomial) -> int:
+        """``key(a*m) - key(m)``, the same for every monomial m."""
+        return self._exps_key(a.exps) - self._exps_key((0,) * self.width)
 
 
 @dataclass(frozen=True, slots=True)
 class ModuleOrder:
-    """POT or TOP extension of a base order to indexed monomials."""
+    """POT or TOP extension of a base order to indexed monomials.
+
+    The key puts the slot below the base key for TOP (``base << slot_bits |
+    i``) and above it for POT (``i << base.bits | base``).  ``lift`` is how
+    far the base key is shifted up: ``slot_bits`` for TOP, 0 for POT, so a
+    shift of the base order becomes ``d << lift`` here.
+    """
 
     base: "ScalarOrder | ModuleOrder"
     kind: str
     rank: int
+    bits: int = field(init=False, repr=False, compare=False)
+    lift: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("pot", "top"):
             raise StructureError(f"unknown module order kind {self.kind!r}")
         if self.rank < 1:
             raise StructureError("module rank must be positive")
+        slot_bits = self.rank.bit_length()
+        object.__setattr__(self, "bits", self.base.bits + slot_bits)
+        object.__setattr__(self, "lift", slot_bits if self.kind == "top" else 0)
 
     @property
     def width(self) -> int:
@@ -144,7 +182,7 @@ class ModuleOrder:
     def variables(self) -> tuple[str, ...]:
         return self.base.variables
 
-    def key(self, m: Monomial):
+    def key(self, m: Monomial) -> int:
         if m.is_zero:
             return _KEY_ZERO
         if not m.indices:
@@ -157,8 +195,12 @@ class ModuleOrder:
         else:
             inner = self.base.key(Monomial(m.exps, m.indices[:-1]))
         if self.kind == "pot":
-            return (1, i, inner)
-        return (1, inner, i)
+            return i << self.base.bits | inner
+        return inner << self.lift | i
+
+    def shift(self, a: Monomial) -> int:
+        """``key(a*m) - key(m)``, the same for every monomial m."""
+        return self.base.shift(a) << self.lift
 
 
 class MonoidSpec:
@@ -308,12 +350,18 @@ def divide(m: Monomial, n: Monomial, spec: MonoidSpec):
         return None
     if len(m.exps) != len(n.exps):
         raise StructureError("width mismatch in divide")
-    diff = tuple(map(sub, n.exps, m.exps))
+    q = quotient_exps(m.exps, n.exps, spec)
+    return None if q is None else Monomial(q)
+
+
+def quotient_exps(m_exps, n_exps, spec: MonoidSpec):
+    """The exponents n - m when they are a monoid member, else None."""
+    diff = tuple(map(sub, n_exps, m_exps))
     if min(diff, default=0) < 0:
         return None
     if spec.kind != "full" and not spec.member(diff):
         return None
-    return Monomial(diff)
+    return diff
 
 
 def divides_exponentwise(m: Monomial, n: Monomial) -> bool:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .algebra import Context, Element, normal_form_with_steps
 from .errors import ContractError, StructureError
-from .monomials import Monomial, ModuleOrder, ScalarOrder, divide
+from .monomials import Monomial, ModuleOrder, ScalarOrder, divide, quotient_exps
 
 __all__ = [
     "SigPair",
@@ -46,10 +46,14 @@ class SigSet:
     """Ordered, append-only collection of sigpairs with shared orders.
 
     ``certified`` is set by the engine once the combinatorial rewrite-basis
-    certificate has passed; classification requires it.  ``_products`` is
-    the product table that regular reduction passes to
-    ``Element.mul_monomial``: one entry per distinct shifted part monomial.
-    A product of exponent tuples never changes, so no entry goes stale.
+    certificate has passed; classification requires it.  Each nonzero part
+    is kept with its support mask, its leading monomial's key and its
+    signature's key, so the reducer lookup shifts keys by arithmetic.
+    A run keeps two tables here: ``_products`` maps a part order key to its
+    monomial, one entry per distinct product monomial that a reductant or
+    a reduction result took, and over Q ``_rows`` holds each reducer's
+    cleared integer row, built once.  No entry ever goes stale: a key names
+    one monomial of this order, and members never change.
     """
 
     def __init__(self, ctx: Context, sig_order: ModuleOrder, members=(), origin="adhoc"):
@@ -59,10 +63,12 @@ class SigSet:
         self.origin = origin
         self.certified = False
         self._ids = set()
-        # (support mask, member) of every signature, and of every nonzero part's lm
+        # (support mask, member) of every signature; (support mask, lm, lm key,
+        # signature key, member) of every nonzero part
         self._sigs: list[tuple[int, SigPair]] = []
-        self._reducers: list[tuple[int, SigPair]] = []
+        self._reducers: list[tuple[int, Monomial, int, int, SigPair]] = []
         self._products = {}
+        self._rows = {}
         for m in members:
             self.add(m)
 
@@ -77,7 +83,10 @@ class SigSet:
         self.members.append(sp)
         self._sigs.append((_support_mask(sp.sig.exps), sp))
         if sp.part.terms:
-            self._reducers.append((_support_mask(sp.part.lm.exps), sp))
+            key, lm, _ = sp.part.terms[0]
+            self._reducers.append(
+                (_support_mask(lm.exps), lm, key, self.sig_order.key(sp.sig), sp)
+            )
 
     def realizations(self, sigma: Monomial):
         """Yield ``(member, a)`` with ``a * sig(member) == sigma``, newest first."""
@@ -95,10 +104,10 @@ class SigSet:
         nonzero parts in ascending id order."""
         spec = self.ctx.monoid
         mono_mask = _support_mask(mono.exps)
-        for mask, g in self._reducers:
+        for mask, lm, _, _, g in self._reducers:
             if mask & ~mono_mask:
                 continue
-            b = divide(g.part.lm, mono, spec)
+            b = divide(lm, mono, spec)
             if b is not None:
                 yield g, b
 
@@ -109,11 +118,12 @@ class SigSet:
         return iter(self.members)
 
 
-def multiply(a: Monomial, f: SigPair) -> SigPair:
-    """Act on both components by an index-free monoid element."""
+def multiply(a: Monomial, f: SigPair, products=None) -> SigPair:
+    """Act on both components by an index-free monoid element; ``products``
+    is a product table for the part (``Element.mul_monomial``)."""
     if a.degree == 0 and not a.is_zero:
         return f
-    return SigPair(f.part.mul_monomial(a), f.sig.mul(a), f.id)
+    return SigPair(f.part.mul_monomial(a, products), f.sig.mul(a), f.id)
 
 
 def _sig_module_order(ctx: Context, rank: int, sig_kind: str) -> ModuleOrder:
@@ -205,22 +215,36 @@ def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, _sigma
 
     Returns ``(member, multiplier)`` with ``multiplier * lm(member part) ==
     target_lm`` and ``multiplier * sig(member) < sigma``, or None.  Ties on
-    the shifted signature break toward the smallest provenance id.
+    the shifted signature break toward the smallest provenance id.  A
+    candidate's shifted signature key is its signature key plus the shift
+    key(target) - key(lm) lifted into the signature order, so only the
+    winner's multiplier is built.
     """
     if target_lm.is_zero:
         raise ContractError("no reducer for the zero monomial")
-    skey = G.sig_order.key
-    sigma_key = _sigma_key if _sigma_key is not None else skey(sigma)
+    best_key = _sigma_key if _sigma_key is not None else G.sig_order.key(sigma)
+    exps, indices = target_lm.exps, target_lm.indices
+    target_key = G.ctx.order.key(target_lm)
+    target_mask = _support_mask(exps)
+    lift = G.sig_order.lift
+    spec = G.ctx.monoid
     best = None
-    for g, b in G.divisors_of(target_lm):
-        cand_key = (skey(g.sig.mul(b)), g.id)
-        if cand_key[0] >= sigma_key:
+    for mask, lm, lm_key, sig_key, g in G._reducers:
+        if mask & ~target_mask:
             continue
-        if best is None or cand_key < best[0]:
-            best = (cand_key, g, b)
+        k = sig_key + ((target_key - lm_key) << lift)
+        # a candidate must beat sigma, then the best (key, id) so far; the key
+        # is only meaningful for a divisor, which is checked last
+        if k > best_key or k == best_key and (best is None or g.id >= best[0].id):
+            continue
+        if lm.indices != indices:
+            continue
+        q = quotient_exps(lm.exps, exps, spec)
+        if q is not None:
+            best_key, best = k, (g, q)
     if best is None:
         return None
-    return best[1], best[2]
+    return best[0], Monomial(best[1])
 
 
 def regular_normal_form_with_steps(f: SigPair, G: SigSet, fresh=()):
@@ -229,7 +253,8 @@ def regular_normal_form_with_steps(f: SigPair, G: SigSet, fresh=()):
     ``fresh`` holds the results reduced earlier in the same batch, not yet in
     G.  They are admitted whole: the batch is reduced in ascending signature
     order, so their signatures are already strictly smaller.  Among all
-    admissible reducers the smallest (shifted signature, id) wins.
+    admissible reducers the smallest (shifted signature, id) wins.  A member
+    reducer goes to the step with its multiplier, unbuilt.
     """
     sigma = f.sig
     skey = G.sig_order.key
@@ -253,9 +278,9 @@ def regular_normal_form_with_steps(f: SigPair, G: SigSet, fresh=()):
         if found is None:
             return None
         g, b = found
-        return g.part.mul_monomial(b, G._products)
+        return g.part, b
 
-    part, steps = normal_form_with_steps(f.part, admit)
+    part, steps = normal_form_with_steps(f.part, admit, G._products, G._rows)
     return SigPair(part.monic(), sigma, f.id), steps
 
 

@@ -9,13 +9,14 @@ coprime leading monomials.  The product criterion needs commuting operands,
 so it is applied to ring elements only, never to module elements.  In a
 restricted monoid every minimal common multiple is reduced.  The reduced
 output is unique, which makes it a stable fixture source for comparing
-engine runs.  The oracle reduces with ``Element.sub_scaled`` only.  Over Q
-the engine uses its own fraction-free kernel, but over GF(p) the engine's
-field loop (``top_reduce_step``) reduces through ``sub_scaled`` too, so
-there the two share a kernel; the tests compare the oracle with sympy's
-Groebner bases, which share no code with this package.  One product table
-per ``buchberger`` or ``is_groebner_basis`` call shares immutable product
-monomials only; the reduction stays ``sub_scaled``.
+engine runs.  The oracle reduces with ``top_reduce_step``, a
+``Element.sub_scaled`` merge against the whole shifted reducer, and shares
+no reduction kernel with the engine, whose steps
+(``normal_form_with_steps``) shift the reducer's keys on the fly; the tests
+also compare the oracle with sympy's Groebner bases, which share no code
+with this package.  One product table per ``buchberger`` or
+``is_groebner_basis`` call shares immutable product monomials only; the
+reduction stays ``sub_scaled``.
 
 The bounded checks are exact linear algebra over degree-bounded slices.
 Each feeds its products, in signature order, into one incremental
@@ -30,7 +31,7 @@ from heapq import heappop, heappush
 from operator import add
 from time import monotonic
 
-from .algebra import Element, SpanEchelon
+from .algebra import Element, SpanEchelon, top_reduce_step
 from .errors import ContractError, LimitExceeded
 from .monomials import Monomial, divide, divides_exponentwise, minimal_common_multiples
 from .sigcore import SigSet
@@ -77,8 +78,7 @@ def _full_reduce(f: Element, reducers, spec, products=None) -> Element:
             out.append((target, f.lc))
             f = Element(ctx, f.terms[1:])
         else:
-            lam = ctx.field.div(f.lc, hit.lc)
-            f = f.sub_scaled(hit, lam)
+            f = top_reduce_step(f, hit)
     return Element.from_terms(ctx, out)
 
 

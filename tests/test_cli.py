@@ -168,6 +168,13 @@ class TestMainExitCodes:
         bad.write_text("vars: x\ngens:\nx - q\n")
         assert main(["run", str(bad)]) == 1
 
+    def test_exponent_past_the_limit_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "big.sys"
+        bad.write_text("vars: y x\ngens:\nx^2147483648 - y\n")
+        assert main(["run", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "2147483647" in err
+
     def test_usage_error_exit_1(self, capsys):
         assert main(["run", "--builtin", "mora", "--strategy", "bogus"]) == 1
 

@@ -329,3 +329,32 @@ class TestMinimalityScan:
             assert not any(s in Q for s in pruned)
             pruned_total += len(pruned)
         assert pruned_total > 0
+
+    @pytest.mark.parametrize("sig_order", ["top", "pot"])
+    @pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+    def test_incremental_prune_matches_all_pairs(self, case, sig_order):
+        # rounds of adds, each followed by a prune and sometimes by pops: every
+        # prune must leave what the all-pairs filter keeps of the whole queue
+        G = _scan_set(case, sig_order)
+        spec, key = G.monoid, G.sig_order.key
+        width = G.ctx.width
+        rng = random.Random(2610)
+        events = []
+        Q = CriticalQueue(G.sig_order, spec, pruned_mode=True, trace=events.append)
+        pruned_total = 0
+        for _ in range(30):
+            for _ in range(rng.randint(0, 6)):
+                Q.add(rng.choice(G.members).sig.mul(
+                    Monomial(tuple(rng.randrange(3) for _ in range(width)))
+                ))
+            queued = set(Q.snapshot())
+            del events[:]
+            Q.prune()
+            kept = _all_pairs_minimal(queued, lambda t, s: divide(t, s, spec) is not None)
+            assert Q.snapshot() == sorted(kept, key=key)
+            pruned = [e["signature"] for e in events if e["event"] == "queue_prune"]
+            assert pruned == sorted(queued - kept, key=key)
+            pruned_total += len(pruned)
+            for _ in range(min(rng.randint(0, 2), len(Q))):
+                Q.pop_min()
+        assert pruned_total > 0

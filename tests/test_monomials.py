@@ -96,6 +96,88 @@ def test_totality_and_multiplicative_compatibility(order, rank):
         assert order.key(x.mul(a)) >= kx
 
 
+def tuple_key(order, mono):
+    """The reference order: nested tuples, compared lexicographically."""
+    if mono.is_zero:
+        return (0,)
+    if isinstance(order, ScalarOrder):
+        if order.kind == "degrevlex":
+            return (1, sum(mono.exps), tuple(-e for e in mono.exps))
+        return (1, tuple(reversed(mono.exps)))
+    inner = tuple_key(order.base, Monomial(mono.exps, mono.indices[:-1]))
+    i = mono.indices[-1]
+    return (1, i, inner) if order.kind == "pot" else (1, inner, i)
+
+
+def _key_orders():
+    """(order, slot ranks from the outermost in): scalar, TOP and POT up to
+    rank 5, and a nested module order, over degrevlex and lex."""
+    for kind in ("degrevlex", "lex"):
+        base = ScalarOrder(kind, ("z", "y", "x"))
+        yield base, ()
+        for sig in ("top", "pot"):
+            for rank in (1, 2, 3, 5):
+                yield ModuleOrder(base, sig, rank), (rank,)
+            for inner in ("top", "pot"):
+                yield ModuleOrder(ModuleOrder(base, inner, 2), sig, 3), (3, 2)
+
+
+def _random_keyed(rng, ranks, big):
+    if big:  # wide fields; a product of two stays within the degree limit
+        exps = [rng.randrange(1 << 28) for _ in range(3)]
+    else:
+        exps = [rng.randrange(4) for _ in range(3)]
+    slots = tuple(rng.randint(1, r) for r in reversed(ranks))
+    return Monomial(tuple(exps), slots)
+
+
+class TestIntegerKeys:
+    """Keys are one int each: the tuple order exactly, additive under the action."""
+
+    @pytest.mark.parametrize("order,ranks", list(_key_orders()), ids=repr)
+    def test_int_order_is_the_tuple_order(self, order, ranks):
+        rng = random.Random(20261019)
+        monos = {_random_keyed(rng, ranks, big=i % 4 == 0) for i in range(400)}
+        monos.add(ZERO)
+        by_int = sorted(monos, key=order.key)
+        assert by_int == sorted(monos, key=lambda x: tuple_key(order, x))
+        assert len({order.key(x) for x in monos}) == len(monos)
+        assert order.key(ZERO) == -1
+
+    @pytest.mark.parametrize("order,ranks", list(_key_orders()), ids=repr)
+    def test_shift_is_additive(self, order, ranks):
+        rng = random.Random(7)
+        for _ in range(20):
+            b = _random_keyed(rng, (), big=rng.random() < 0.3)
+            shifts = {
+                order.key(x.mul(b)) - order.key(x)
+                for x in (_random_keyed(rng, ranks, big=rng.random() < 0.3) for _ in range(30))
+            }
+            assert shifts == {order.shift(b)}
+
+    @pytest.mark.parametrize("kind", ["degrevlex", "lex"])
+    def test_limit_refused(self, kind):
+        base = ScalarOrder(kind, ("y", "x"))
+        top = ModuleOrder(base, "top", 2)
+        limit = 2**31 - 1
+        assert base.key(m(limit, 0)) > base.key(m(0, 0))
+        assert top.key(m(limit - 5, 5, slot=2)) > top.key(m(0, 0, slot=2))
+        for bad in (m(2**31, 0), m(0, 2**31), m(2**30, 2**30)):
+            with pytest.raises(StructureError):
+                base.key(bad)
+            with pytest.raises(StructureError):
+                top.key(bad.with_slot(1))
+
+    def test_product_past_the_limit_refused(self, mora_ctx):
+        from sigbasis.algebra import Element
+
+        f = Element.from_terms(mora_ctx, [(m(0, 2**30), 1), (m(0, 0), 1)])
+        a = m(0, 2**30 - 1)
+        assert f.mul_monomial(a).lm == m(0, 2**31 - 1)
+        with pytest.raises(StructureError):
+            f.mul_monomial(m(0, 2**30))
+
+
 class TestDivide:
     def test_full_monoid(self):
         q = divide(m(2, 2), m(2, 5), FULL)

@@ -303,7 +303,8 @@ class TestMaskedReducerLookup:
 
 
 class TestProductTable:
-    """Regular reduction builds shifted reducers through the SigSet's table."""
+    """Regular reduction looks shifted part monomials up in the SigSet's table,
+    from order key to Monomial."""
 
     def test_runs_do_not_share_a_table(self):
         _, gens = katsura(4, PrimeField(32003))
@@ -311,30 +312,85 @@ class TestProductTable:
         first, second = (run(pre, Strategy.f5()).basis for _ in range(2))
         assert first._products and first._products is not second._products
         assert first._products.keys() == second._products.keys()
-        mine = {id(m) for _, m in first._products.values()}
-        assert not any(id(m) in mine for _, m in second._products.values())
+        mine = {id(m) for m in first._products.values()}
+        assert not any(id(m) in mine for m in second._products.values())
         assert pre._products == {}
 
     @pytest.mark.parametrize("strategy", [Strategy.f5_pruned(), Strategy.f4(4)],
                              ids=["f5-pruned", "f4"])
-    def test_one_entry_per_distinct_product_monomial(self, strategy, monkeypatch):
-        seen = set()
-        calls = 0
-        plain = Element.mul_monomial
-
-        def recording(self, a, products=None):
-            nonlocal calls
-            if products is not None:
-                calls += 1
-                seen.update((tuple(x + y for x, y in zip(a.exps, m.exps)), m.indices)
-                            for _, m, _ in self.terms)
-            return plain(self, a, products)
-
-        monkeypatch.setattr(Element, "mul_monomial", recording)
+    def test_one_entry_per_distinct_product_monomial(self, strategy):
         _, gens = katsura(4, PrimeField(32003))
         G = run(make_prebasis_shifted(gens, "top"), strategy).basis
-        assert calls > 0
-        assert G._products.keys() == seen
+        key = G.ctx.order.key
+        assert G._products
+        # a key names one monomial, so each entry's key being its monomial's
+        # key means one entry per distinct product monomial
+        assert all(key(m) == k for k, m in G._products.items())
+
+
+class TestShiftedStep:
+    """A regular reduction step shifts the reducer's keys; it never builds
+    the shifted reducer, and over Q it clears each reducer's row once."""
+
+    def test_regular_reduction_never_builds_a_shifted_reducer(self, monkeypatch):
+        import sigbasis.engine as engine
+
+        inside = []
+        built = []
+        plain_mul = Element.mul_monomial
+        plain_nf = engine.regular_normal_form_with_steps
+
+        def recording_mul(self, a, products=None):
+            built.append(bool(inside))
+            return plain_mul(self, a, products)
+
+        def recording_nf(*args):
+            inside.append(1)
+            try:
+                return plain_nf(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Element, "mul_monomial", recording_mul)
+        monkeypatch.setattr(engine, "regular_normal_form_with_steps", recording_nf)
+        _, gens = katsura(4, PrimeField(32003))
+        for strategy in (Strategy.f5_pruned(), Strategy.f4(4)):
+            result = run(make_prebasis_shifted(gens, "top"), strategy)
+            assert result.stats.reduction_steps > 0 and result.basis._products
+        assert built and not any(built)
+
+    @pytest.mark.parametrize("strategy", [Strategy.f5(), Strategy.f4(4)], ids=["f5", "f4"])
+    def test_rational_rows_cleared_once_per_run(self, strategy, monkeypatch):
+        from sigbasis import algebra
+
+        clears = []
+        plain_row, plain_cleared = algebra._row, algebra._cleared
+
+        def recording_row(e, rows):
+            before = len(clears)
+            row = plain_row(e, rows)
+            if len(clears) > before:
+                rows_cleared.append(id(e))
+            calls.append(id(e))
+            return row
+
+        def recording_cleared(terms):
+            clears.append(1)
+            return plain_cleared(terms)
+
+        monkeypatch.setattr(algebra, "_row", recording_row)
+        monkeypatch.setattr(algebra, "_cleared", recording_cleared)
+        _, gens = katsura(4, algebra.RationalField())
+        pre = make_prebasis_shifted(gens, "top")
+        for _ in range(2):
+            rows_cleared, calls = [], []
+            G = run(pre, strategy).basis
+            members = {id(g.part) for g in G.members}
+            assert len(rows_cleared) == len(set(rows_cleared)) == len(G._rows)
+            assert set(rows_cleared) <= members
+            assert len(calls) > len(rows_cleared)
+        # the prebasis parts are reducers again in the second run
+        assert {id(g.part) for g in pre.members} & set(rows_cleared)
 
 
 class TestMonomialChecks:
