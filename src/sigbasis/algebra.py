@@ -10,11 +10,14 @@ Each term carries its order key, one int that is additive under the monoid
 action (``ScalarOrder``).  Top reduction (``normal_form_with_steps``) uses
 that: a step f - lam * b * g walks g's terms with their keys shifted by one
 add and never builds b * g; only a term that survives as a new term of the
-result takes a product monomial, from a table kept by the caller.  Over
-GF(p) the step is a modular merge.  Over Q it runs on integers: the element
-and each reducer are cleared of denominators, combined with integer
-cofactors, and divided by their content, while one exact rational scale
-tracks the factor taken out; the result becomes rational once, at the end.
+result takes a product monomial, from the context's table
+(``Context.products``).  Over GF(p) the step is a modular merge.  Over Q it
+runs on integers: the element and each reducer are cleared of denominators,
+combined with integer cofactors, and divided by their content, while one
+exact rational scale tracks the factor taken out; the result becomes
+rational once, at the end.  An element's cleared row is built the first
+time a reduction uses it and kept on the element.  Both caches live on the
+value they memoize, so no caller keeps or passes a table.
 
 It is the library's one exact elimination.  ``SpanEchelon`` builds the
 echelon of a span incrementally on it, keeping one top-reduced row per
@@ -23,7 +26,7 @@ leading monomial, and the bounded checks in ``verify`` run on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -163,12 +166,21 @@ class PrimeField:
 
 @dataclass(frozen=True, slots=True)
 class Context:
-    """Declaration of the ambient monomial module: variables, order, monoid, field."""
+    """Declaration of the ambient monomial module: variables, order, monoid, field.
+
+    ``products`` maps an order key to its Monomial under ``order``.  Every
+    product monomial that ``Element.mul_monomial`` or a reduction step builds
+    is kept there, so each distinct product is built once and shared by all
+    elements of the context.  It lives as long as the context (one parsed
+    problem) and never goes stale: a key names exactly one monomial of the
+    order.  It takes no part in equality, hashing or repr.
+    """
 
     variables: tuple[str, ...]
     order: "ScalarOrder | ModuleOrder"
     monoid: MonoidSpec
     field: "RationalField | PrimeField"
+    products: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def width(self) -> int:
@@ -183,9 +195,13 @@ class Context:
 
 
 class Element:
-    """Sparse exact element; terms strictly descending under the context order."""
+    """Sparse exact element; terms strictly descending under the context order.
 
-    __slots__ = ("ctx", "terms")
+    Over Q the slot ``_row`` holds the element cleared of denominators once a
+    reduction has used it (see ``_row``).
+    """
+
+    __slots__ = ("ctx", "terms", "_row")
 
     def __init__(self, ctx: Context, terms):
         # terms must already be normalized: sorted descending, nonzero coeffs
@@ -248,15 +264,13 @@ class Element:
         inv = field.div(field.one, lc)
         return self.scale(inv)
 
-    def mul_monomial(self, a: Monomial, products=None) -> "Element":
+    def mul_monomial(self, a: Monomial) -> "Element":
         """Left action by an index-free monomial; order is preserved by M2.
 
         A product term's key is its term's key plus the order's ``shift(a)``.
-        ``products`` maps an order key to its Monomial under this context's
-        order.  Each product monomial is looked up there and built only on a
-        miss, so a caller that keeps one table across many products (a
-        ``SigSet`` does) builds each distinct product monomial once and
-        shares it.  Without a table a fresh one is used.
+        Each product monomial is looked up by that key in ``ctx.products`` and
+        built only on a miss, so every distinct product monomial of the
+        context is built once and shared.
         """
         if a.is_zero:
             raise ContractError("cannot multiply by the zero monomial")
@@ -268,8 +282,7 @@ class Element:
         if len(exps) != self.ctx.width:
             raise StructureError("multiplier width mismatch")
         # the terms share the context's width, so one check covers every product
-        if products is None:
-            products = {}
+        products = self.ctx.products
         key = self.ctx.order.key
         d = self.ctx.order.shift(a)
         out = []
@@ -354,7 +367,7 @@ def _reducer(found, lead: Monomial):
     return e, b
 
 
-def normal_form_with_steps(f: Element, admit, products=None, rows=None) -> tuple[Element, int]:
+def normal_form_with_steps(f: Element, admit) -> tuple[Element, int]:
     """Iterate top reduction with reducers supplied by ``admit``.
 
     ``admit`` maps a nonzero monomial to None, to a reducer element with that
@@ -362,28 +375,27 @@ def normal_form_with_steps(f: Element, admit, products=None, rows=None) -> tuple
     A step f - lam * b * g never builds b * g: it walks g's terms with their
     keys shifted by d = key(lm f) - key(lm g) (keys are additive), and only a
     term that survives as a new term of the result takes a product monomial,
-    from ``products`` (order key -> Monomial, the table of
-    ``Element.mul_monomial``); merged and cancelled terms keep f's monomial
-    or none.  Over GF(p) the step is a modular merge.  Over Q it runs on
-    integer rows (see ``_fraction_free_normal_form``), and ``rows`` keeps each
-    reducer's cleared row across calls.  Both return what plain top reduction
-    (``top_reduce_step`` on b * g) returns.  Terminates because the leading
-    monomial strictly decreases in a well-order.
+    from the context's table (``Context.products``); merged and cancelled
+    terms keep f's monomial or none.  Over GF(p) the step is a modular merge.
+    Over Q it runs on integer rows (see ``_fraction_free_normal_form``); the
+    rows of f and of each reducer are cleared once and kept on them.  Both
+    return what plain top reduction (``top_reduce_step`` on b * g) returns.
+    Terminates because the leading monomial strictly decreases in a
+    well-order.
     """
-    if products is None:
-        products = {}
     if isinstance(f.ctx.field, RationalField):
-        return _fraction_free_normal_form(f, admit, products, rows)
-    return _modular_normal_form(f, admit, products)
+        return _fraction_free_normal_form(f, admit)
+    return _modular_normal_form(f, admit)
 
 
-def _modular_normal_form(f: Element, admit, products) -> tuple[Element, int]:
+def _modular_normal_form(f: Element, admit) -> tuple[Element, int]:
     """Top reduction over GF(p): one merge per step, residues reduced inline."""
     found = admit(f.lm) if f.terms else None
     if found is None:
         return f, 0
     p = f.ctx.field.p
     key = f.ctx.order.key
+    products = f.ctx.products
     F = f.terms
     steps = 0
     while found is not None:
@@ -423,15 +435,13 @@ def _cleared(terms):
     return [(k, m, c.numerator * (den // q)) for (k, m, c), q in zip(terms, dens)], den
 
 
-def _row(e: Element, rows):
-    """e's cleared integer terms, kept in ``rows`` (if given) by e's identity;
-    the entry holds e, so the identity is not reused while it is kept."""
-    if rows is None:
-        return _cleared(e.terms)[0]
-    hit = rows.get(id(e))
-    if hit is None:
-        hit = rows[id(e)] = (_cleared(e.terms)[0], e)
-    return hit[0]
+def _row(e: Element):
+    """``_cleared(e.terms)``, computed on first use and kept on e."""
+    try:
+        return e._row
+    except AttributeError:
+        e._row = row = _cleared(e.terms)
+        return row
 
 
 def _content(values) -> int:
@@ -444,7 +454,7 @@ def _content(values) -> int:
     return g
 
 
-def _fraction_free_normal_form(f: Element, admit, products, rows) -> tuple[Element, int]:
+def _fraction_free_normal_form(f: Element, admit) -> tuple[Element, int]:
     """Top reduction over Q on integer rows with one exact scale.
 
     f is kept as scale * F with F integral.  A step against the cleared
@@ -457,12 +467,13 @@ def _fraction_free_normal_form(f: Element, admit, products, rows) -> tuple[Eleme
     if found is None:
         return f, 0
     key = f.ctx.order.key
-    F, den = _cleared(f.terms)
+    products = f.ctx.products
+    F, den = _row(f)
     scale = _ratio(1, den)
     steps = 0
     while found is not None:
         e, b = _reducer(found, F[0][1])
-        E = _row(e, rows)
+        E = _row(e)[0]
         d = F[0][0] - E[0][0]
         ce, cf = E[0][2], F[0][2]
         g = gcd(ce, cf)

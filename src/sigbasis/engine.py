@@ -188,7 +188,8 @@ def rewrite_basis_at(G: SigSet, sigma: Monomial) -> bool:
 
 def select_reductant_sigtree(sigma: Monomial, tree: SigTree, G: SigSet, child_order=None):
     """Descend from the virtual root through children whose signature divides
-    sigma; return (node index, multiplier, reductant)."""
+    sigma; return the last node's label and multiplier (the label's id is the
+    node index)."""
     spec = G.monoid
     k = 0
     while True:
@@ -206,8 +207,7 @@ def select_reductant_sigtree(sigma: Monomial, tree: SigTree, G: SigSet, child_or
     if k == 0:
         raise ContractError("no root signature divides the requested signature")
     label = tree.nodes[k].label
-    a = divide(label.sig, sigma, spec)
-    return k, a, multiply(a, label, G._products)
+    return label, divide(label.sig, sigma, spec)
 
 
 def select_reductant_f5(sigma: Monomial, G: SigSet):
@@ -348,22 +348,15 @@ def run(
     def partial():
         return RunResult(G, tree, syzygy_signatures(G), stats)
 
-    def sigtree(sigma):
-        return select_reductant_sigtree(sigma, tree, G, child_order=child_order)
-
-    def by_member(pick):
-        def select(sigma):
-            g, a = pick(sigma, G)
-            return g.id, a, multiply(a, g, G._products)
-
-        return select
-
-    # built per call: a selector rebound on the module (a tracing wrapper,
-    # say) takes effect on the next run
+    # each selector returns (member, multiplier); the lambdas look the
+    # selector up on every call, so one rebound on the module (a tracing
+    # wrapper, say) takes effect
     select = {
-        "sigtree": sigtree,
-        "f5": by_member(select_reductant_f5),
-        "min_lm": by_member(_select_min_lm),
+        "sigtree": lambda sigma: select_reductant_sigtree(
+            sigma, tree, G, child_order=child_order
+        ),
+        "f5": lambda sigma: select_reductant_f5(sigma, G),
+        "min_lm": lambda sigma: _select_min_lm(sigma, G),
     }[strategy.select]
 
     while len(Q):
@@ -381,32 +374,33 @@ def run(
             sigmas = [Q.pop_at(rng.randrange(len(Q)))]
         picked = []
         for sigma in sigmas:
-            node_k, a, reductant = select(sigma)
+            g, a = select(sigma)
+            lm = g.part.lm.mul(a)
             emit(
                 {
                     "event": "select",
                     "signature": sigma,
-                    "node": node_k,
+                    "node": g.id,
                     "multiplier": a,
-                    "lm": reductant.part.lm,
+                    "lm": lm,
                 }
             )
-            if reductant.part.is_zero or find_regular_reducer(
-                reductant.part.lm, sigma, G
-            ) is None:
-                emit({"event": "skip", "signature": sigma, "node": node_k,
-                      "multiplier": a, "lm": reductant.part.lm})
+            if lm.is_zero or find_regular_reducer(lm, sigma, G) is None:
+                emit({"event": "skip", "signature": sigma, "node": g.id,
+                      "multiplier": a, "lm": lm})
                 continue
-            picked.append((sigma, node_k, a, reductant))
+            picked.append((sigma, g, a))
         fresh = []
-        for sigma, node_k, a, reductant in picked:  # ascending signature order
+        for sigma, g, a in picked:  # ascending signature order
             # ids follow tree size so that batched insertions stay sequential
             # even before their sigpairs join G
-            f = SigPair(reductant.part, sigma, len(tree.nodes))
+            node = len(tree.nodes)
             if koszul and _koszul_multiple(sigma, G):
-                g_new, steps = SigPair(Element.zero(ctx), sigma, f.id), 0
+                g_new, steps = SigPair(Element.zero(ctx), sigma, node), 0
                 stats.koszul_zeros += 1
             else:
+                # the reductant is built only for a signature that is reduced
+                f = SigPair(multiply(a, g).part, sigma, node)
                 g_new, steps = regular_normal_form_with_steps(f, G, fresh)
             stats.reduction_steps += steps
             stats.insertions += 1
@@ -425,13 +419,13 @@ def run(
                     "event": "insert",
                     "signature": sigma,
                     "node": g_new.id,
-                    "parent": node_k,
+                    "parent": g.id,
                     "multiplier": a,
                     "lm": g_new.part.lm,
                     "steps": steps,
                 }
             )
-            tree.add_node(g_new, parent=node_k, rank=stats.iterations, edge=a)
+            tree.add_node(g_new, parent=g.id, rank=stats.iterations, edge=a)
             fresh.append(g_new)
         for g_new in fresh:
             G.add(g_new)

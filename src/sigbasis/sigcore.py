@@ -49,11 +49,6 @@ class SigSet:
     certificate has passed; classification requires it.  Each nonzero part
     is kept with its support mask, its leading monomial's key and its
     signature's key, so the reducer lookup shifts keys by arithmetic.
-    A run keeps two tables here: ``_products`` maps a part order key to its
-    monomial, one entry per distinct product monomial that a reductant or
-    a reduction result took, and over Q ``_rows`` holds each reducer's
-    cleared integer row, built once.  No entry ever goes stale: a key names
-    one monomial of this order, and members never change.
     """
 
     def __init__(self, ctx: Context, sig_order: ModuleOrder, members=(), origin="adhoc"):
@@ -67,8 +62,6 @@ class SigSet:
         # signature key, member) of every nonzero part
         self._sigs: list[tuple[int, SigPair]] = []
         self._reducers: list[tuple[int, Monomial, int, int, SigPair]] = []
-        self._products = {}
-        self._rows = {}
         for m in members:
             self.add(m)
 
@@ -118,12 +111,11 @@ class SigSet:
         return iter(self.members)
 
 
-def multiply(a: Monomial, f: SigPair, products=None) -> SigPair:
-    """Act on both components by an index-free monoid element; ``products``
-    is a product table for the part (``Element.mul_monomial``)."""
+def multiply(a: Monomial, f: SigPair) -> SigPair:
+    """Act on both components by an index-free monoid element."""
     if a.degree == 0 and not a.is_zero:
         return f
-    return SigPair(f.part.mul_monomial(a, products), f.sig.mul(a), f.id)
+    return SigPair(f.part.mul_monomial(a), f.sig.mul(a), f.id)
 
 
 def _sig_module_order(ctx: Context, rank: int, sig_kind: str) -> ModuleOrder:
@@ -280,7 +272,7 @@ def regular_normal_form_with_steps(f: SigPair, G: SigSet, fresh=()):
         g, b = found
         return g.part, b
 
-    part, steps = normal_form_with_steps(f.part, admit, G._products, G._rows)
+    part, steps = normal_form_with_steps(f.part, admit)
     return SigPair(part.monic(), sigma, f.id), steps
 
 

@@ -14,9 +14,8 @@ engine runs.  The oracle reduces with ``top_reduce_step``, a
 no reduction kernel with the engine, whose steps
 (``normal_form_with_steps``) shift the reducer's keys on the fly; the tests
 also compare the oracle with sympy's Groebner bases, which share no code
-with this package.  One product table per ``buchberger`` or
-``is_groebner_basis`` call shares immutable product monomials only; the
-reduction stays ``sub_scaled``.
+with this package.  Its products (``Element.mul_monomial``) share only
+immutable monomials with the engine, through the context's table.
 
 The bounded checks are exact linear algebra over degree-bounded slices.
 Each feeds its products, in signature order, into one incremental
@@ -60,7 +59,7 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def _full_reduce(f: Element, reducers, spec, products=None) -> Element:
+def _full_reduce(f: Element, reducers, spec) -> Element:
     """Divide every term of f by the reducer list (not only the top)."""
     ctx = f.ctx
     out = []
@@ -72,7 +71,7 @@ def _full_reduce(f: Element, reducers, spec, products=None) -> Element:
                 continue
             b = divide(g.lm, target, spec)
             if b is not None:
-                hit = g.mul_monomial(b, products)
+                hit = g.mul_monomial(b)
                 break
         if hit is None:
             out.append((target, f.lc))
@@ -82,9 +81,9 @@ def _full_reduce(f: Element, reducers, spec, products=None) -> Element:
     return Element.from_terms(ctx, out)
 
 
-def _spair(f: Element, g: Element, a: Monomial, b: Monomial, products) -> Element:
-    fa = f.mul_monomial(a, products)
-    gb = g.mul_monomial(b, products)
+def _spair(f: Element, g: Element, a: Monomial, b: Monomial) -> Element:
+    fa = f.mul_monomial(a)
+    gb = g.mul_monomial(b)
     lam = f.ctx.field.div(fa.lc, gb.lc)
     return fa.sub_scaled(gb, lam)
 
@@ -144,7 +143,6 @@ def buchberger(
     if not basis:
         return GroebnerBasis(())
     criteria = spec.kind == "full"
-    products = {}
     pairs = []
     live = {}  # counter -> (i, j, common multiple) of every pair still pending
     counter = 0
@@ -173,8 +171,8 @@ def buchberger(
         _check_deadline(deadline)
         if live.pop(key, None) is None:
             continue
-        s = _spair(basis[i], basis[j], a, b, products)
-        r = _full_reduce(s, basis, spec, products)
+        s = _spair(basis[i], basis[j], a, b)
+        r = _full_reduce(s, basis, spec)
         if r.is_zero:
             continue
         basis.append(r.monic())
@@ -182,10 +180,10 @@ def buchberger(
         if inserted > max_insertions:
             raise LimitExceeded("oracle insertion cap exceeded")
         push_pairs(len(basis) - 1)
-    return GroebnerBasis(tuple(_interreduce(basis, spec, products)))
+    return GroebnerBasis(tuple(_interreduce(basis, spec)))
 
 
-def _interreduce(basis, spec, products):
+def _interreduce(basis, spec):
     """Drop members with divisible leading monomials, then tail-reduce.
 
     Scanning by ascending leading monomial is complete: a divisor's leading
@@ -202,7 +200,7 @@ def _interreduce(basis, spec, products):
             continue
         minimal.append(g)
     out = [
-        _full_reduce(g, [h for h in minimal if h is not g], spec, products).monic()
+        _full_reduce(g, [h for h in minimal if h is not g], spec).monic()
         for g in minimal
     ]
     out.sort(key=lambda e: key(e.lm))
@@ -212,12 +210,11 @@ def _interreduce(basis, spec, products):
 def is_groebner_basis(elems, spec) -> bool:
     """Closure check: every S-pair reduces to zero over the set itself."""
     elems = [e for e in elems if not e.is_zero]
-    products = {}
     for i in range(len(elems)):
         for j in range(i):
             for a, b in minimal_common_multiples(elems[i].lm, elems[j].lm, spec):
-                s = _spair(elems[i], elems[j], a, b, products)
-                if not _full_reduce(s, elems, spec, products).is_zero:
+                s = _spair(elems[i], elems[j], a, b)
+                if not _full_reduce(s, elems, spec).is_zero:
                     return False
     return True
 
@@ -276,7 +273,6 @@ def bounded_signature_basis_check(
             products.append((skey(g.sig.mul(am)), g.part, am))
     products.sort(key=lambda p: p[0])
     ech = SpanEchelon()
-    table = {}
     reached, unreached = set(), set()
     fed = 0
     violations = []
@@ -285,7 +281,7 @@ def bounded_signature_basis_check(
         while fed < len(products) and products[fed][0] <= sigma_key:
             _, part, am = products[fed]
             fed += 1
-            row = part.mul_monomial(am, table)
+            row = part.mul_monomial(am)
             reached.add(row.lm)
             unreached.discard(row.lm)
             r = ech.residue_vector(row)
@@ -324,10 +320,9 @@ def bounded_syzygy_check(
     entries.sort(key=lambda e: e[0])
     kernel_lms = []
     ech = SpanEchelon()
-    table = {}
     for _, shifted, am, g in entries:
         _check_deadline(deadline)
-        if ech.residue_vector(g.mul_monomial(am, table)).is_zero:
+        if ech.residue_vector(g.mul_monomial(am)).is_zero:
             kernel_lms.append(shifted)
     syz = result.syzygies
     violations = [

@@ -340,7 +340,8 @@ def _product_cases():
 
 
 class TestProductTable:
-    """mul_monomial looks every product term up in a table from key to Monomial."""
+    """mul_monomial looks every product term up in its context's table from
+    key to Monomial (``Context.products``)."""
 
     @pytest.mark.parametrize("case", list(_product_cases()), ids=["ring", "top", "pot"])
     def test_matches_plain_product(self, case):
@@ -349,28 +350,23 @@ class TestProductTable:
             ctx, [(Monomial(tuple(x + y for x, y in zip(a.exps, m.exps)), m.indices), c)
                   for _, m, c in f.terms]
         )
-        table = {}
-        for products in (None, table, table):
-            assert f.mul_monomial(a, products).terms == plain.terms
-        assert table == {k: m for k, m, _ in plain.terms}
+        for _ in range(2):
+            assert f.mul_monomial(a).terms == plain.terms
+        assert ctx.products == {k: m for k, m, _ in plain.terms}
 
     @pytest.mark.parametrize("case", list(_product_cases()), ids=["ring", "top", "pot"])
     def test_repeated_product_shares_monomials(self, case):
         ctx, f, a = case
-        table = {}
-        first = f.mul_monomial(a, table)
-        again = f.mul_monomial(a, table)
+        first = f.mul_monomial(a)
+        again = f.mul_monomial(a)
         assert all(
             k1 == k2 and m1 is m2 for (k1, m1, _), (k2, m2, _) in zip(first.terms, again.terms)
         )
+        assert all(ctx.products[k] is m for k, m, _ in first.terms)
         # another factorization of the same products hits the same entries
         b = Monomial(tuple(x - 1 for x in a.exps))
-        shared = f.mul_monomial(b).mul_monomial(Monomial((1, 1)), table)
+        shared = f.mul_monomial(b).mul_monomial(Monomial((1, 1)))
         assert all(m1 is m2 for (_, m1, _), (_, m2, _) in zip(first.terms, shared.terms))
-        # without a table every call builds its own monomials
-        fresh = f.mul_monomial(a)
-        assert all(m1 == m2 and m1 is not m2
-                   for (_, m1, _), (_, m2, _) in zip(first.terms, fresh.terms))
 
 
 class TestPrimeField:

@@ -197,18 +197,18 @@ class TestMainExitCodes:
         assert captured.out.startswith("basis: ")
         assert captured.err.startswith("limit exceeded: ") and captured.err.count("\n") == 1
 
-    def test_certificate_check_bounded_by_max_seconds(self, monkeypatch, capsys):
+    def test_tree_check_bounded_by_max_seconds(self, monkeypatch, capsys):
         # the run and its own certificate finish; the clock reads past the
-        # deadline once --verify recomputes the certificate
+        # deadline once --verify validates the sigtree
         from sigbasis import cli, engine
 
-        real = engine.faugere_certificate
+        real = engine.validate_sigtree
 
-        def late_certificate(G, *, deadline=None):
+        def late_tree_check(tree, G, *, deadline=None):
             monkeypatch.setattr(engine, "monotonic", lambda: float("inf"))
-            return real(G, deadline=deadline)
+            return real(tree, G, deadline=deadline)
 
-        monkeypatch.setattr(cli, "faugere_certificate", late_certificate)
+        monkeypatch.setattr(cli, "validate_sigtree", late_tree_check)
         argv = ["run", "--builtin", "mora", "--verify", "--max-seconds", "60"]
         assert main(argv) == 3
         captured = capsys.readouterr()

@@ -71,29 +71,23 @@ class TestSelection:
         for g in members[:3]:
             tree.add_node(g, parent=0, rank=0, edge=mora_ctx.identity_monomial())
         tree.add_node(members[3], parent=2, rank=1, edge=mono(mora_ctx, 0, 2))
-        k, a, reductant = select_reductant_sigtree(
-            mono(mora_ctx, 6, 2, slot=2), tree, stage
-        )
-        assert k == 4 and a == mono(mora_ctx, 1, 0)
-        assert reductant.sig == mono(mora_ctx, 6, 2, slot=2)
+        g, a = select_reductant_sigtree(mono(mora_ctx, 6, 2, slot=2), tree, stage)
+        assert g.id == 4 and a == mono(mora_ctx, 1, 0)
+        assert g.sig.mul(a) == mono(mora_ctx, 6, 2, slot=2)
 
     def test_tree_descent_initial(self, mora_prebasis, mora_ctx):
         tree = SigTree()
         for g in mora_prebasis.members:
             tree.add_node(g, parent=0, rank=0, edge=mora_ctx.identity_monomial())
-        k, a, _ = select_reductant_sigtree(
-            mono(mora_ctx, 5, 2, slot=2), tree, mora_prebasis
-        )
-        assert k == 2 and a == mono(mora_ctx, 0, 2)
+        g, a = select_reductant_sigtree(mono(mora_ctx, 5, 2, slot=2), tree, mora_prebasis)
+        assert g.id == 2 and a == mono(mora_ctx, 0, 2)
 
     def test_tree_descent_exact_root(self, mora_prebasis, mora_ctx):
         tree = SigTree()
         for g in mora_prebasis.members:
             tree.add_node(g, parent=0, rank=0, edge=mora_ctx.identity_monomial())
-        k, a, _ = select_reductant_sigtree(
-            mono(mora_ctx, 2, 2, slot=1), tree, mora_prebasis
-        )
-        assert k == 1 and a.degree == 0
+        g, a = select_reductant_sigtree(mono(mora_ctx, 2, 2, slot=1), tree, mora_prebasis)
+        assert g.id == 1 and a.degree == 0
 
     def test_tree_descent_no_root_divides(self, mora_prebasis, mora_ctx):
         tree = SigTree()

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import elem, mono
-from sigbasis.algebra import Context, Element, PrimeField
+from sigbasis.algebra import Context, Element, PrimeField, RationalField
 from sigbasis.engine import Strategy, run
 from sigbasis.errors import ContractError, StructureError
 from sigbasis.monomials import Monomial, ModuleOrder, MonoidSpec, ScalarOrder, divide
@@ -24,7 +24,7 @@ from sigbasis.sigcore import (
     syzygy_signatures,
 )
 from sigbasis.systems import katsura
-from sigbasis.textio import parse_element, render_element, render_sigpair
+from sigbasis.textio import parse_element, render_element, render_monomial, render_sigpair
 
 
 @pytest.fixture(scope="module")
@@ -303,18 +303,49 @@ class TestMaskedReducerLookup:
 
 
 class TestProductTable:
-    """Regular reduction looks shifted part monomials up in the SigSet's table,
-    from order key to Monomial."""
+    """Regular reduction looks shifted part monomials up in the context's
+    table (``Context.products``), from order key to Monomial."""
 
-    def test_runs_do_not_share_a_table(self):
-        _, gens = katsura(4, PrimeField(32003))
+    @pytest.mark.parametrize(
+        "field, strategy",
+        [(RationalField(), Strategy.f4(4)), (PrimeField(32003), Strategy.f5_pruned())],
+        ids=["q-f4", "gf-f5-pruned"],
+    )
+    def test_warm_run_equals_cold_run(self, field, strategy, monkeypatch):
+        from sigbasis import algebra
+
+        _, gens = katsura(4, field)
+        ctx = gens[0].ctx
         pre = make_prebasis_shifted(gens, "top")
-        first, second = (run(pre, Strategy.f5()).basis for _ in range(2))
-        assert first._products and first._products is not second._products
-        assert first._products.keys() == second._products.keys()
-        mine = {id(m) for m in first._products.values()}
-        assert not any(id(m) in mine for m in second._products.values())
-        assert pre._products == {}
+        cleared = []
+        plain_cleared = algebra._cleared
+
+        def recording_cleared(terms):
+            cleared.append(terms)
+            return plain_cleared(terms)
+
+        monkeypatch.setattr(algebra, "_cleared", recording_cleared)
+
+        def one_run():
+            cleared.clear()
+            rows = []
+            result = run(pre, strategy, trace=rows.append)
+            members = [(render_element(g.part), render_monomial(g.sig, ctx.variables), g.id)
+                       for g in result.basis.members]
+            return members, result.stats, rows
+
+        def prebasis_parts_cleared():
+            return [t for t in cleared if any(t is g.part.terms for g in pre.members)]
+
+        cold = one_run()
+        assert ctx.products
+        assert bool(prebasis_parts_cleared()) == isinstance(field, RationalField)
+        table = dict(ctx.products)
+        warm = one_run()
+        assert warm == cold
+        assert ctx.products.keys() == table.keys()
+        assert all(ctx.products[k] is m for k, m in table.items())
+        assert not prebasis_parts_cleared()
 
     @pytest.mark.parametrize("strategy", [Strategy.f5_pruned(), Strategy.f4(4)],
                              ids=["f5-pruned", "f4"])
@@ -322,10 +353,10 @@ class TestProductTable:
         _, gens = katsura(4, PrimeField(32003))
         G = run(make_prebasis_shifted(gens, "top"), strategy).basis
         key = G.ctx.order.key
-        assert G._products
+        assert G.ctx.products
         # a key names one monomial, so each entry's key being its monomial's
         # key means one entry per distinct product monomial
-        assert all(key(m) == k for k, m in G._products.items())
+        assert all(key(m) == k for k, m in G.ctx.products.items())
 
 
 class TestShiftedStep:
@@ -340,9 +371,9 @@ class TestShiftedStep:
         plain_mul = Element.mul_monomial
         plain_nf = engine.regular_normal_form_with_steps
 
-        def recording_mul(self, a, products=None):
+        def recording_mul(self, a):
             built.append(bool(inside))
-            return plain_mul(self, a, products)
+            return plain_mul(self, a)
 
         def recording_nf(*args):
             inside.append(1)
@@ -356,41 +387,39 @@ class TestShiftedStep:
         _, gens = katsura(4, PrimeField(32003))
         for strategy in (Strategy.f5_pruned(), Strategy.f4(4)):
             result = run(make_prebasis_shifted(gens, "top"), strategy)
-            assert result.stats.reduction_steps > 0 and result.basis._products
+            assert result.stats.reduction_steps > 0 and result.basis.ctx.products
         assert built and not any(built)
 
     @pytest.mark.parametrize("strategy", [Strategy.f5(), Strategy.f4(4)], ids=["f5", "f4"])
-    def test_rational_rows_cleared_once_per_run(self, strategy, monkeypatch):
+    def test_rational_rows_cleared_once_per_element(self, strategy, monkeypatch):
         from sigbasis import algebra
 
-        clears = []
+        cleared = []  # the cleared term tuples, kept so that no id is reused
         plain_row, plain_cleared = algebra._row, algebra._cleared
 
-        def recording_row(e, rows):
-            before = len(clears)
-            row = plain_row(e, rows)
-            if len(clears) > before:
-                rows_cleared.append(id(e))
+        def recording_row(e):
             calls.append(id(e))
-            return row
+            return plain_row(e)
 
         def recording_cleared(terms):
-            clears.append(1)
+            cleared.append(terms)
             return plain_cleared(terms)
 
         monkeypatch.setattr(algebra, "_row", recording_row)
         monkeypatch.setattr(algebra, "_cleared", recording_cleared)
         _, gens = katsura(4, algebra.RationalField())
         pre = make_prebasis_shifted(gens, "top")
+        prebasis_terms = {id(g.part.terms) for g in pre.members}
         for _ in range(2):
-            rows_cleared, calls = [], []
-            G = run(pre, strategy).basis
-            members = {id(g.part) for g in G.members}
-            assert len(rows_cleared) == len(set(rows_cleared)) == len(G._rows)
-            assert set(rows_cleared) <= members
-            assert len(calls) > len(rows_cleared)
-        # the prebasis parts are reducers again in the second run
-        assert {id(g.part) for g in pre.members} & set(rows_cleared)
+            calls, before = [], len(cleared)
+            run(pre, strategy)
+            assert len(calls) > len(cleared) - before > 0
+        # no element is cleared twice, across both runs
+        assert len({id(t) for t in cleared}) == len(cleared)
+        # the prebasis parts are used again in the second run, and their rows,
+        # cleared in the first, are not cleared again
+        assert {id(g.part) for g in pre.members} <= set(calls)
+        assert not prebasis_terms & {id(t) for t in cleared[before:]}
 
 
 class TestMonomialChecks:
