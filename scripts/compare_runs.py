@@ -17,9 +17,12 @@ JSON entry per configuration:
   rendered signature, id), the ``RunStats`` counters, every trace row and
   the rendered ``critical_set`` of the output.
 * ``cli/...``: ``sigbasis run`` called in-process on ``--builtin`` mora and
-  katsura4-6 with every preset (f4 with ``--batch 4``) and on the two
-  cli-verify commands of the benchmark.  Each entry holds the exit code,
-  stdout, stderr and the bytes of every ``--emit-*`` file.
+  katsura4-6 with every preset (f4 with ``--batch 4``), on the two
+  cli-verify commands of the benchmark, and on ``SUM_TEXT``, a two-block
+  ``sig_init: sum`` problem that the script writes itself.  Both its blocks
+  are Groebner bases, so the command passes the blocks' closure check and
+  runs ``--verify``.  Each entry holds the exit code, stdout, stderr and the
+  bytes of every ``--emit-*`` file.
 
 ``diff`` compares two digests entry by entry, prints each entry and field
 that differs, and exits 1 if any does.  Timings are never recorded, so two
@@ -53,6 +56,17 @@ CLI_VERIFY = (
                      "--emit-dot")),
     ("katsura4-q", ("--strategy", "f5", "--verify-deep", "4", "--emit-json")),
 )
+# mora's reduced Groebner basis, and a pair with coprime leading monomials
+SUM_TEXT = """vars: y x
+sig_init: sum
+gens:
+y^4 - x^2
+x^2*y^2 - 1
+x^4 - y^2
+gens2:
+x^2 - y
+y^3 - x
+"""
 EMIT_SUFFIX = {"--emit-json": ".json", "--emit-trace": ".jsonl", "--emit-dot": ".dot"}
 
 
@@ -146,7 +160,7 @@ def _cli_entry(sb, argv, outdir: Path, stem: str) -> dict:
     return entry
 
 
-def _cli_runs(checkout: Path):
+def _cli_runs(checkout: Path, outdir: Path):
     for system in BUILTINS:
         for preset in PRESETS:
             argv = ["run", "--builtin", system, "--strategy", preset,
@@ -157,6 +171,9 @@ def _cli_runs(checkout: Path):
     for name, flags in CLI_VERIFY:
         yield f"cli/verify/{name}", ["run", str(checkout / "perfbench" / "inputs" /
                                                f"{name}.sys"), *flags]
+    path = outdir / "sum.sys"
+    path.write_text(SUM_TEXT)
+    yield "cli/verify/sum", ["run", str(path), "--verify", "--emit-json"]
 
 
 def digest(checkout: Path, out_path: Path) -> int:
@@ -168,7 +185,7 @@ def digest(checkout: Path, out_path: Path) -> int:
         entries[key] = _engine_entry(sb, ctx, prebasis, preset, stride)
         print(key, file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
-        for key, argv in _cli_runs(checkout):
+        for key, argv in _cli_runs(checkout, Path(tmp)):
             entries[key] = _cli_entry(sb, argv, Path(tmp), key.replace("/", "-"))
             print(key, file=sys.stderr)
     out_path.write_text(json.dumps(entries, sort_keys=True) + "\n")

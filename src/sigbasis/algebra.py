@@ -2,9 +2,8 @@
 
 Elements are finitely supported coefficient combinations of monomials, kept
 sorted strictly descending under the declared order, with no zero
-coefficients.  All arithmetic is exact: rationals (gmpy2 ``mpq`` when
-available, ``fractions.Fraction`` otherwise) or a prime residue field.
-Values are immutable and safe to share.
+coefficients.  All arithmetic is exact: rationals are ``fractions.Fraction``
+and prime residues are Python ints.  Values are immutable and safe to share.
 
 Each term carries its order key, one int that is additive under the monoid
 action (``ScalarOrder``).  Top reduction (``normal_form_with_steps``) uses
@@ -34,11 +33,6 @@ from operator import add
 from .errors import ContractError, StructureError
 from .monomials import Monomial, ModuleOrder, MonoidSpec, ZERO, identity
 
-try:
-    from gmpy2 import mpq as _ratio
-except ImportError:  # gmpy2 is the optional ``fast`` extra
-    _ratio = Fraction
-
 __all__ = [
     "RationalField",
     "PrimeField",
@@ -53,25 +47,25 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class RationalField:
-    """The field of exact rationals."""
+    """The field of exact rationals, as ``fractions.Fraction``."""
 
     name = "Q"
 
     @property
     def zero(self):
-        return _ratio(0)
+        return Fraction(0)
 
     @property
     def one(self):
-        return _ratio(1)
+        return Fraction(1)
 
     def from_int(self, n):
-        return _ratio(n)
+        return Fraction(n)
 
     def from_ratio(self, p, q):
         if q == 0:
             raise StructureError("zero denominator")
-        return _ratio(p, q)
+        return Fraction(p, q)
 
     def add(self, a, b):
         return a + b
@@ -469,7 +463,7 @@ def _fraction_free_normal_form(f: Element, admit) -> tuple[Element, int]:
     key = f.ctx.order.key
     products = f.ctx.products
     F, den = _row(f)
-    scale = _ratio(1, den)
+    scale = Fraction(1, den)
     steps = 0
     while found is not None:
         e, b = _reducer(found, F[0][1])
@@ -505,10 +499,10 @@ def _fraction_free_normal_form(f: Element, admit) -> tuple[Element, int]:
         if content > 1:
             out = [(k, m, c // content) for k, m, c in out]
         F = out
-        scale = scale * _ratio(g * content, ce)
+        scale = scale * Fraction(g * content, ce)
         found = admit(F[0][1])
     num, den = scale.numerator, scale.denominator
-    return Element(f.ctx, tuple((k, m, _ratio(c * num, den)) for k, m, c in F)), steps
+    return Element(f.ctx, tuple((k, m, Fraction(c * num, den)) for k, m, c in F)), steps
 
 
 class SpanEchelon:

@@ -203,42 +203,40 @@ class ModuleOrder:
         return self.base.shift(a) << self.lift
 
 
+@dataclass(frozen=True, slots=True)
 class MonoidSpec:
     """The monoid of admissible multipliers inside the full monomial lattice.
 
-    Three kinds are supported:
+    Three kinds are supported, and the fields hold exactly what defines each:
 
     * ``full`` -- every exponent vector;
     * ``degree_truncated`` -- the identity plus every monomial of total
-      degree >= ``min_degree``, minus an explicit finite exclusion list;
-    * ``generated`` -- all products of a finite generator list.  The list
-      must be every monomial of one total degree d, so the members are the
-      monomials of total degree divisible by d, and membership is that
-      degree test; only for such lists is the common-multiple search known
-      to be complete (``minimal_common_multiples``).
+      degree >= ``min_degree``, minus the finite set ``exclusions``;
+    * ``generated`` -- all products of every monomial of one total degree
+      d = ``generator_degree``, that is the monomials of total degree
+      divisible by d.  ``generated(gens)`` refuses any other generator list:
+      only for these is the common-multiple search known to be complete
+      (``minimal_common_multiples``).  Since only d is stored, lists that
+      differ in order or repetition give equal specs.
     """
 
-    __slots__ = ("kind", "min_degree", "exclusions", "generators")
+    kind: str
+    min_degree: int = 0
+    exclusions: frozenset = frozenset()
+    generator_degree: int = 0
 
-    def __init__(self, kind, min_degree=0, exclusions=(), generators=()):
-        self.kind = kind
-        self.min_degree = min_degree
-        self.exclusions = frozenset(exclusions)
-        self.generators = tuple(generators)
-        if kind == "degree_truncated":
+    def __post_init__(self):
+        object.__setattr__(self, "exclusions", frozenset(map(tuple, self.exclusions)))
+        if self.kind not in ("full", "degree_truncated", "generated"):
+            raise StructureError(f"unknown monoid kind {self.kind!r}")
+        if self.kind != "degree_truncated" and (self.min_degree or self.exclusions):
+            raise StructureError(f"a {self.kind} monoid takes no min_degree or exclusions")
+        if (self.kind == "generated") != (self.generator_degree > 0):
+            raise StructureError(
+                "generator_degree must be positive for a generated monoid and 0 otherwise"
+            )
+        if self.kind == "degree_truncated":
             self._validate_truncated()
-        elif kind == "generated":
-            if not self.generators:
-                raise StructureError("generated monoid needs at least one generator")
-            if any(sum(g) == 0 for g in self.generators):
-                raise StructureError("the identity is implicit, not a generator")
-            g0 = self.generators[0]
-            if set(self.generators) != set(_vectors_of_degree(len(g0), sum(g0))):
-                raise StructureError(
-                    "generated monoid needs every monomial of one total degree as generators"
-                )
-        elif kind != "full":
-            raise StructureError(f"unknown monoid kind {kind!r}")
 
     @classmethod
     def full(cls) -> "MonoidSpec":
@@ -246,13 +244,21 @@ class MonoidSpec:
 
     @classmethod
     def degree_truncated(cls, min_degree, exclusions=()) -> "MonoidSpec":
-        excl = tuple(tuple(e) for e in exclusions)
-        return cls("degree_truncated", min_degree=min_degree, exclusions=excl)
+        return cls("degree_truncated", min_degree, exclusions)
 
     @classmethod
     def generated(cls, generators) -> "MonoidSpec":
-        gens = tuple(tuple(g) for g in generators)
-        return cls("generated", generators=gens)
+        gens = {tuple(g) for g in generators}
+        if not gens:
+            raise StructureError("generated monoid needs at least one generator")
+        if any(sum(g) == 0 for g in gens):
+            raise StructureError("the identity is implicit, not a generator")
+        g0 = next(iter(gens))
+        if gens != set(_vectors_of_degree(len(g0), sum(g0))):
+            raise StructureError(
+                "generated monoid needs every monomial of one total degree as generators"
+            )
+        return cls("generated", generator_degree=sum(g0))
 
     def _validate_truncated(self):
         d = self.min_degree
@@ -288,14 +294,9 @@ class MonoidSpec:
         if self.kind == "full":
             return True
         d = sum(exps)
-        if d == 0:
-            return True
-        if self.kind == "degree_truncated":
-            return d >= self.min_degree and exps not in self.exclusions
-        g0 = self.generators[0]
-        if len(g0) != len(exps):
-            raise StructureError("generator width mismatch")
-        return d % sum(g0) == 0
+        if self.kind == "generated":
+            return d % self.generator_degree == 0
+        return d == 0 or (d >= self.min_degree and exps not in self.exclusions)
 
     def elements_up_to(self, width: int, max_degree: int):
         """All members of total degree <= max_degree, ascending by degree."""
@@ -305,25 +306,6 @@ class MonoidSpec:
                 if self.member(v):
                     out.append(v)
         return out
-
-    def __repr__(self):
-        if self.kind == "full":
-            return "MonoidSpec.full()"
-        if self.kind == "degree_truncated":
-            return f"MonoidSpec.degree_truncated({self.min_degree}, {sorted(self.exclusions)})"
-        return f"MonoidSpec.generated({list(self.generators)})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonoidSpec)
-            and self.kind == other.kind
-            and self.min_degree == other.min_degree
-            and self.exclusions == other.exclusions
-            and self.generators == other.generators
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.min_degree, self.exclusions, self.generators))
 
 
 def _vectors_of_degree(width: int, degree: int):
@@ -384,12 +366,13 @@ def minimal_common_multiples(m: Monomial, n: Monomial, spec: MonoidSpec):
     module monomials) this is the single lcm pair; differing indices give the
     empty tuple; restricted monoids are searched degree by degree.
 
-    A generated monoid holds the monomials of total degree divisible by d
-    (``MonoidSpec`` refuses other generator lists).  Its multipliers are the
-    a >= a0 = lcm/m of degree divisible by d, if d divides m.degree -
-    n.degree, and none otherwise.  Such an a of degree >= deg a0 + d is not
-    minimal: dividing it by a degree-d divisor of a/a0 leaves a smaller one.
-    So the search stops below total degree deg a0 + d.  Other generator
+    A generated monoid holds the monomials of total degree divisible by
+    d = ``spec.generator_degree`` (``MonoidSpec.generated`` refuses other
+    generator lists).  Its multipliers are the a >= a0 = lcm/m of degree
+    divisible by d, if d divides m.degree - n.degree, and none otherwise.
+    Such an a of degree >= deg a0 + d is not minimal: dividing it by a
+    degree-d divisor of a/a0 leaves a smaller one.  So the search goes at
+    most d - 1 degrees above a0.  Other generator
     lists have no such bound: for <xy^2, x^4 y, x^2>, y^3 and x^4 have the
     minimal multiplier x^16, and for <y^3, y^2 z, x z^2> (exponents in
     (x, y, z)) y^3 z^3 and x^3 y z^2 have only x^3 y^12 z^6.
@@ -406,7 +389,7 @@ def minimal_common_multiples(m: Monomial, n: Monomial, spec: MonoidSpec):
     if spec.kind == "degree_truncated":
         bound = _truncated_search_bound(m, n, a0, spec)
         return tuple(_collect_mcm(m, n, a0, spec, bound - sum(a0)))
-    return tuple(_collect_mcm(m, n, a0, spec, sum(spec.generators[0]) - 1))
+    return tuple(_collect_mcm(m, n, a0, spec, spec.generator_degree - 1))
 
 
 def _truncated_search_bound(m, n, a0, spec) -> int:

@@ -207,12 +207,17 @@ def _interreduce(basis, spec):
     return out
 
 
-def is_groebner_basis(elems, spec) -> bool:
-    """Closure check: every S-pair reduces to zero over the set itself."""
+def is_groebner_basis(elems, spec, *, deadline: float | None = None) -> bool:
+    """Closure check: every S-pair reduces to zero over the set itself.
+
+    ``deadline`` is a ``time.monotonic()`` value; past it, the next pair
+    raises ``LimitExceeded``.
+    """
     elems = [e for e in elems if not e.is_zero]
     for i in range(len(elems)):
         for j in range(i):
             for a, b in minimal_common_multiples(elems[i].lm, elems[j].lm, spec):
+                _check_deadline(deadline)
                 s = _spair(elems[i], elems[j], a, b)
                 if not _full_reduce(s, elems, spec).is_zero:
                     return False

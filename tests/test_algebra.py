@@ -1,5 +1,6 @@
 """Elements, top reduction, normal forms, and the bounded span oracles."""
 
+import pathlib
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from conftest import (
     elem,
     mono,
 )
-from sigbasis import algebra
 from sigbasis.algebra import (
     Context,
     Element,
@@ -167,7 +167,7 @@ class TestFractionFreeNormalForm:
         (g, g_steps), (w, w_steps) = got, want
         assert [(m, c) for _, m, c in g.terms] == [(m, c) for _, m, c in w.terms]
         assert [k for k, _, _ in g.terms] == [k for k, _, _ in w.terms]
-        assert all(type(c) is algebra._ratio for _, _, c in g.terms)
+        assert all(type(c) is Fraction for _, _, c in g.terms)
         assert g_steps == w_steps
 
     @pytest.mark.parametrize("seed", range(8))
@@ -388,3 +388,33 @@ class TestPrimeField:
         g = f.sub_scaled(f, gf.from_int(1))
         assert g.is_zero
         assert f.monic().lc == 1
+
+
+class TestDeclaredRationalType:
+    """The rationals that run are the standard library's, as packaged."""
+
+    def test_field_values_are_fractions(self):
+        field = RationalField()
+        values = [field.zero, field.one, field.from_int(3), field.from_ratio(4, 6)]
+        assert all(type(c) is Fraction for c in values)
+
+    def test_q_run_coefficients_are_fractions(self):
+        from sigbasis.engine import Strategy, run
+        from sigbasis.sigcore import make_prebasis_shifted
+        from sigbasis.systems import katsura
+
+        ctx, gens = katsura(4)
+        assert isinstance(ctx.field, RationalField)
+        result = run(make_prebasis_shifted(gens, "top"), Strategy.f5())
+        coeffs = [c for g in result.basis.members for _, _, c in g.part.terms]
+        assert any(c.denominator > 1 for c in coeffs)
+        assert all(type(c) is Fraction for c in coeffs)
+
+    def test_pyproject_declares_no_rational_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = pathlib.Path(__file__).resolve().parents[1]
+        project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+        assert project["dependencies"] == []
+        extras = project.get("optional-dependencies", {})
+        assert "fast" not in extras
+        assert not any("gmpy2" in req for reqs in extras.values() for req in reqs)

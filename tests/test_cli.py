@@ -92,6 +92,19 @@ class TestParseProblem:
         assert monoid.exclusions == {(0, 3), (1, 1)}
         assert not monoid.member((1, 1)) and monoid.member((2, 0))
 
+    def test_generated_list_order_gives_equal_contexts(self):
+        # the monoid is its generators' degree, not the order they are listed in
+        texts = [
+            f"vars: y x\nfield: GF 32003\nsetting: monoid generated={gens}\n"
+            "gens:\nx^2*y^2 - 1\ny^5 - x^2*y\n"
+            for gens in ("x^2,x*y,y^2", "y^2,x*y,x^2,x*y")
+        ]
+        ctx_a, ctx_b = (parse_problem(t).build_context() for t in texts)
+        assert ctx_a == ctx_b and hash(ctx_a) == hash(ctx_b)
+        f = parse_problem(texts[0]).build_generators(ctx_a)[0]
+        g = parse_problem(texts[1]).build_generators(ctx_b)[0]
+        assert f.sub_scaled(g, ctx_a.field.one).is_zero
+
 
 class TestMainExitCodes:
     def test_run_file_ok(self, tmp_path, capsys):
@@ -195,6 +208,21 @@ class TestMainExitCodes:
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out.startswith("basis: ")
+        assert captured.err.startswith("limit exceeded: ") and captured.err.count("\n") == 1
+
+    def test_sum_basis_check_bounded_by_max_seconds(self, tmp_path, monkeypatch, capsys):
+        # both blocks are Groebner bases; the clock reads past the deadline
+        # while the first block's closure is checked, before the engine runs
+        from sigbasis import verify
+
+        path = tmp_path / "sum.sys"
+        path.write_text("vars: y x\nsig_init: sum\ngens:\nx - 1\ny - 1\ngens2:\nx + y\n")
+        assert main(["run", str(path)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(verify, "monotonic", lambda: float("inf"))
+        assert main(["run", str(path), "--max-seconds", "60"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
         assert captured.err.startswith("limit exceeded: ") and captured.err.count("\n") == 1
 
     def test_tree_check_bounded_by_max_seconds(self, monkeypatch, capsys):

@@ -229,6 +229,37 @@ class TestMonoidMember:
             for v in _vectors(width, k):
                 assert A.member(v) == (v in closure), v
 
+    @pytest.mark.parametrize("width, d", [(1, 3), (2, 2), (3, 2)])
+    def test_generated_specs_are_values(self, width, d):
+        # the spec is the generators' degree: order and repetition do not matter
+        gens = list(_vectors(width, d))
+        specs = [
+            MonoidSpec.generated(gens),
+            MonoidSpec.generated(gens[::-1]),
+            MonoidSpec.generated(gens + gens[:1]),
+            MonoidSpec.generated(random.Random(d).sample(gens, len(gens))),
+        ]
+        assert all(s == specs[0] and hash(s) == hash(specs[0]) for s in specs)
+        assert specs[0] == MonoidSpec("generated", generator_degree=d)
+        assert MonoidSpec.generated(list(_vectors(width, d + 1))) != specs[0]
+        assert len({*specs, MonoidSpec.full(), MonoidSpec.degree_truncated(d)}) == 3
+
+    def test_truncated_specs_are_values(self):
+        a = MonoidSpec.degree_truncated(2, [(0, 3), (1, 1)])
+        b = MonoidSpec.degree_truncated(2, [[1, 1], [0, 3], (0, 3)])
+        assert a == b and hash(a) == hash(b)
+        assert a != MonoidSpec.degree_truncated(2)
+
+    def test_fields_outside_the_kind_refused(self):
+        # a spec holds only what defines its kind, so equal monoids compare equal
+        for kwargs in ({"min_degree": 7}, {"exclusions": [(1, 1)]}, {"generator_degree": 2}):
+            with pytest.raises(StructureError):
+                MonoidSpec("full", **kwargs)
+        with pytest.raises(StructureError):
+            MonoidSpec("generated")
+        with pytest.raises(StructureError):
+            MonoidSpec("degree_truncated", 2, generator_degree=2)
+
     def test_truncated_closure_validation(self):
         # excluding x^2*y^2 breaks closure: xy * xy lands on it
         with pytest.raises(StructureError):

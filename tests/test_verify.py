@@ -112,6 +112,12 @@ class TestBuchberger:
         with pytest.raises(LimitExceeded):
             buchberger(mora_gens, mora_ctx.monoid, deadline=0.0)
 
+    def test_closure_check_expired_deadline_raises(self, mora_ctx, mora_gens):
+        gb = list(buchberger(mora_gens, mora_ctx.monoid))
+        assert is_groebner_basis(gb, mora_ctx.monoid, deadline=float("inf"))
+        with pytest.raises(LimitExceeded):
+            is_groebner_basis(gb, mora_ctx.monoid, deadline=0.0)
+
 
 def _katsura4_generated_monoid():
     # multipliers generated by the degree-2 monomials
