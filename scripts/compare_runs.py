@@ -23,6 +23,11 @@ JSON entry per configuration:
   are Groebner bases, so the command passes the blocks' closure check and
   runs ``--verify``.  Each entry holds the exit code, stdout, stderr and the
   bytes of every ``--emit-*`` file.
+* ``oracle/...``: ``verify.buchberger`` on mora and katsura4-6 over Q,
+  katsura6-gf, katsura7-gf, dense-q seeds 1-3 and the three monoid-gf
+  systems.  Each entry holds the rendered reduced basis and the
+  ``is_groebner_basis`` verdict on it, so a ``0 differ`` diff shows that the
+  oracle's output is unchanged term for term, not only its leading monomials.
 
 ``diff`` compares two digests entry by entry, prints each entry and field
 that differs, and exits 1 if any does.  Timings are never recorded, so two
@@ -74,7 +79,8 @@ def _import_sigbasis(checkout: Path):
     src = checkout / "src"
     sys.path.insert(0, str(src))
     modules = {name: importlib.import_module(f"sigbasis.{name}")
-               for name in ("cli", "critical", "engine", "sigcore", "systems", "textio")}
+               for name in ("cli", "critical", "engine", "sigcore", "systems", "textio",
+                            "verify")}
     loaded = Path(modules["cli"].__file__).resolve().parent
     if loaded != (src / "sigbasis").resolve():
         raise ImportError(f"sigbasis was imported from {loaded}, not {src}")
@@ -141,6 +147,27 @@ def _engine_runs(sb, cases):
                 yield key, ctx, make[init](gens, spec.sig_order), preset, 0
 
 
+def _oracle_runs(sb, cases):
+    for system in BUILTINS:
+        yield f"oracle/{system}", *sb.systems.builtin_problem(system)
+    texts = [(name, cases.INPUTS.joinpath(f"{name}.sys").read_text())
+             for name in ("katsura6-gf", "katsura7-gf", *MONOID_INPUTS)]
+    texts += [(f"dense-q/seed-{s}", cases.dense_text(s)) for s in DENSE_SEEDS]
+    for label, text in texts:
+        spec = sb.cli.parse_problem(text)
+        ctx = spec.build_context()
+        yield f"oracle/{label}", ctx, spec.build_generators(ctx)
+
+
+def _oracle_entry(sb, ctx, gens) -> dict:
+    try:
+        gb = list(sb.verify.buchberger(gens, ctx.monoid))
+        return {"basis": [sb.textio.render_element(g) for g in gb],
+                "groebner": sb.verify.is_groebner_basis(gb, ctx.monoid)}
+    except Exception as exc:  # recorded, so both sides can be compared
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
 def _cli_entry(sb, argv, outdir: Path, stem: str) -> dict:
     argv = list(argv)
     paths = {}
@@ -183,6 +210,9 @@ def digest(checkout: Path, out_path: Path) -> int:
     entries = {}
     for key, ctx, prebasis, preset, stride in _engine_runs(sb, cases):
         entries[key] = _engine_entry(sb, ctx, prebasis, preset, stride)
+        print(key, file=sys.stderr)
+    for key, ctx, gens in _oracle_runs(sb, cases):
+        entries[key] = _oracle_entry(sb, ctx, gens)
         print(key, file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         for key, argv in _cli_runs(checkout, Path(tmp)):

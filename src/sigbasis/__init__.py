@@ -14,7 +14,6 @@ from .algebra import (
     PrimeField,
     RationalField,
     bounded_span_pivots,
-    top_reduce_step,
 )
 from .critical import CriticalQueue, critical_pair_signatures, critical_set, queue_update
 from .engine import (

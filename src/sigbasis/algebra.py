@@ -38,7 +38,6 @@ __all__ = [
     "PrimeField",
     "Context",
     "Element",
-    "top_reduce_step",
     "normal_form_with_steps",
     "SpanEchelon",
     "bounded_span_pivots",
@@ -333,14 +332,6 @@ class Element:
         return "Element(" + " + ".join(parts) + ")"
 
 
-def top_reduce_step(f: Element, e: Element) -> Element:
-    """Cancel the leading monomial of f using a reducer with the same lm."""
-    if f.is_zero or e.is_zero or f.lm != e.lm:
-        raise ContractError("top reduction needs matching nonzero leading monomials")
-    lam = f.ctx.field.div(f.lc, e.lc)
-    return f.sub_scaled(e, lam)
-
-
 def _product(exps, m, k, products, key):
     """The monomial exps * m of order key k, built on a table miss.
 
@@ -373,7 +364,8 @@ def normal_form_with_steps(f: Element, admit) -> tuple[Element, int]:
     terms keep f's monomial or none.  Over GF(p) the step is a modular merge.
     Over Q it runs on integer rows (see ``_fraction_free_normal_form``); the
     rows of f and of each reducer are cleared once and kept on them.  Both
-    return what plain top reduction (``top_reduce_step`` on b * g) returns.
+    return what plain top reduction returns: f - (lc f / lc g) * b * g by
+    ``Element.sub_scaled``, step after step.
     Terminates because the leading monomial strictly decreases in a
     well-order.
     """

@@ -9,13 +9,14 @@ coprime leading monomials.  The product criterion needs commuting operands,
 so it is applied to ring elements only, never to module elements.  In a
 restricted monoid every minimal common multiple is reduced.  The reduced
 output is unique, which makes it a stable fixture source for comparing
-engine runs.  The oracle reduces with ``top_reduce_step``, a
-``Element.sub_scaled`` merge against the whole shifted reducer, and shares
-no reduction kernel with the engine, whose steps
-(``normal_form_with_steps``) shift the reducer's keys on the fly; the tests
-also compare the oracle with sympy's Groebner bases, which share no code
-with this package.  Its products (``Element.mul_monomial``) share only
-immutable monomials with the engine, through the context's table.
+engine runs.  The oracle fully reduces with its own routine
+(``_full_reduce``): one dict accumulator per element with a max-heap of
+order keys, reducers found by a first-divisor scan behind its own support
+masks.  It shares no reduction kernel with the engine
+(``normal_form_with_steps``) and no reducer lookup with ``SigSet``; the
+tests also compare the oracle with sympy's Groebner bases, which share no
+code with this package.  Its products share only immutable monomials with
+the engine, through the context's table.
 
 The bounded checks are exact linear algebra over degree-bounded slices.
 Each feeds its products, in signature order, into one incremental
@@ -30,7 +31,7 @@ from heapq import heappop, heappush
 from operator import add
 from time import monotonic
 
-from .algebra import Element, SpanEchelon, top_reduce_step
+from .algebra import Element, SpanEchelon, _product
 from .errors import ContractError, LimitExceeded
 from .monomials import Monomial, divide, divides_exponentwise, minimal_common_multiples
 from .sigcore import SigSet
@@ -59,26 +60,73 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def _full_reduce(f: Element, reducers, spec) -> Element:
-    """Divide every term of f by the reducer list (not only the top)."""
+def _support_mask(m: Monomial) -> int:
+    """Bit i set iff variable i occurs in m; -1 for the zero monomial.
+
+    A divisor's mask lies inside its multiple's.  The zero monomial, the
+    leading monomial of a zero reducer, gets every bit, so it never passes.
+    """
+    if m.is_zero:
+        return -1
+    mask = 0
+    for i, e in enumerate(m.exps):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
+def _full_reduce(f: Element, reducers, spec, masks=None) -> Element:
+    """Divide every term of f by the reducer list (not only the top).
+
+    Each term, largest first, is reduced by the first reducer in list order
+    whose leading monomial divides it, or else is final.  f is held in one
+    accumulator, a dict from order key to coefficient with a max-heap of its
+    keys: a step adds -lam * b * g with g's keys shifted by one add (keys are
+    additive), pushes only keys that are new, and leaves the other terms
+    alone.  A coefficient that cancels stays in the dict as zero until its
+    key is popped, so a later step that reaches the key again adds to it.
+    Product monomials come from the context's table (``Context.products``).
+    ``masks`` holds ``_support_mask`` of each reducer's leading monomial;
+    a reducer whose mask is not inside the term's skips ``divide``.
+    """
+    if masks is None:
+        masks = [_support_mask(g.lm) for g in reducers]
     ctx = f.ctx
+    field = ctx.field
+    key = ctx.order.key
+    products = ctx.products
+    coeffs = {k: c for k, _, c in f.terms}
+    monos = {k: m for k, m, _ in f.terms}
+    heap = [-k for k, _, _ in f.terms]  # ascending, so already a heap
     out = []
-    while not f.is_zero:
-        target = f.lm
-        hit = None
-        for g in reducers:
-            if g.is_zero:
-                continue
-            b = divide(g.lm, target, spec)
-            if b is not None:
-                hit = g.mul_monomial(b)
+    while heap:
+        k = -heappop(heap)
+        c = coeffs.pop(k)
+        if field.is_zero(c):
+            continue
+        t = monos[k]
+        t_mask = _support_mask(t)
+        for g, mask in zip(reducers, masks):
+            if not mask & ~t_mask and (b := divide(g.lm, t, spec)) is not None:
                 break
-        if hit is None:
-            out.append((target, f.lc))
-            f = Element(ctx, f.terms[1:])
         else:
-            f = top_reduce_step(f, hit)
-    return Element.from_terms(ctx, out)
+            out.append((k, t, c))
+            continue
+        lam = field.div(c, g.terms[0][2])
+        d = k - g.terms[0][0]
+        for kg, m, cg in g.terms[1:]:
+            kg += d
+            x = field.mul(lam, cg)
+            prev = coeffs.get(kg)
+            if prev is not None:
+                coeffs[kg] = field.sub(prev, x)
+                continue
+            coeffs[kg] = field.neg(x)
+            heappush(heap, -kg)
+            if d:
+                m = products.get(kg) or _product(b.exps, m, kg, products, key)
+            monos[kg] = m
+    return Element(ctx, tuple(out))
 
 
 def _spair(f: Element, g: Element, a: Monomial, b: Monomial) -> Element:
@@ -142,6 +190,7 @@ def buchberger(
     basis = [g.monic() for g in gens if not g.is_zero]
     if not basis:
         return GroebnerBasis(())
+    masks = [_support_mask(g.lm) for g in basis]
     criteria = spec.kind == "full"
     pairs = []
     live = {}  # counter -> (i, j, common multiple) of every pair still pending
@@ -172,10 +221,11 @@ def buchberger(
         if live.pop(key, None) is None:
             continue
         s = _spair(basis[i], basis[j], a, b)
-        r = _full_reduce(s, basis, spec)
+        r = _full_reduce(s, basis, spec, masks)
         if r.is_zero:
             continue
         basis.append(r.monic())
+        masks.append(_support_mask(r.lm))
         inserted += 1
         if inserted > max_insertions:
             raise LimitExceeded("oracle insertion cap exceeded")
@@ -199,10 +249,11 @@ def _interreduce(basis, spec):
         if any(divide(h.lm, g.lm, spec) is not None for h in minimal):
             continue
         minimal.append(g)
-    out = [
-        _full_reduce(g, [h for h in minimal if h is not g], spec).monic()
-        for g in minimal
-    ]
+    masks = [_support_mask(g.lm) for g in minimal]
+    out = []
+    for i, g in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1 :]
+        out.append(_full_reduce(g, others, spec, masks[:i] + masks[i + 1 :]).monic())
     out.sort(key=lambda e: key(e.lm))
     return out
 
@@ -214,12 +265,13 @@ def is_groebner_basis(elems, spec, *, deadline: float | None = None) -> bool:
     raises ``LimitExceeded``.
     """
     elems = [e for e in elems if not e.is_zero]
+    masks = [_support_mask(e.lm) for e in elems]
     for i in range(len(elems)):
         for j in range(i):
             for a, b in minimal_common_multiples(elems[i].lm, elems[j].lm, spec):
                 _check_deadline(deadline)
                 s = _spair(elems[i], elems[j], a, b)
-                if not _full_reduce(s, elems, spec).is_zero:
+                if not _full_reduce(s, elems, spec, masks).is_zero:
                     return False
     return True
 

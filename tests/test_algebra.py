@@ -20,7 +20,6 @@ from sigbasis.algebra import (
     SpanEchelon,
     bounded_span_pivots,
     normal_form_with_steps,
-    top_reduce_step,
 )
 from sigbasis.errors import ContractError, StructureError
 from sigbasis.monomials import ModuleOrder, Monomial, MonoidSpec, ScalarOrder, ZERO
@@ -33,6 +32,14 @@ MORA_PIVOTS_D7 = {
     "x^3*y^2", "x^3*y^3", "x^3*y^4", "x^4*y", "x^4*y^2", "x^4*y^3", "x^5",
     "x^5*y", "x^5*y^2", "x^6", "x^6*y", "x^7", "y^5", "y^6", "y^7",
 }
+
+
+def top_reduce_step(f, e):
+    """The plain definition of one top reduction step: f - (lc f / lc e) * e."""
+    if f.is_zero or e.is_zero or f.lm != e.lm:
+        raise ContractError("top reduction needs matching nonzero leading monomials")
+    lam = f.ctx.field.div(f.lc, e.lc)
+    return f.sub_scaled(e, lam)
 
 
 class TestLeadingMonomial:

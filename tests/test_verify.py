@@ -5,12 +5,12 @@ import random
 import pytest
 
 from conftest import dense_pivots_of_elements, elem, load_fixture, mono
-from sigbasis.algebra import Context, PrimeField, RationalField
+from sigbasis.algebra import Context, Element, PrimeField, RationalField
 from sigbasis.cli import parse_problem
 from sigbasis.engine import Strategy, run
 from sigbasis import verify
 from sigbasis.errors import ContractError, LimitExceeded
-from sigbasis.monomials import Monomial, ModuleOrder, MonoidSpec, ScalarOrder
+from sigbasis.monomials import Monomial, ModuleOrder, MonoidSpec, ScalarOrder, divide
 from sigbasis.sigcore import make_prebasis_shifted, make_prebasis_unshifted
 from sigbasis.systems import katsura, mora_context, mora_generators
 from sigbasis.textio import parse_element, render_element, render_monomial
@@ -107,6 +107,13 @@ class TestBuchberger:
         lms = {m.part.lm for m in res.basis.members if not m.part.is_zero}
         assert lm_ideal_equal(lms, gb.lm_set(), ctx.monoid)
 
+    def test_katsura7_gf_f5_pruned_agrees(self):
+        ctx, gens = katsura(7, PrimeField(32003))
+        gb = buchberger(gens, ctx.monoid)
+        assert len(gb) == 41
+        res = run(make_prebasis_shifted(gens, "top"), Strategy.f5_pruned())
+        lms = {m.part.lm for m in res.basis.members if not m.part.is_zero}
+        assert lm_ideal_equal(lms, gb.lm_set(), ctx.monoid)
 
     def test_expired_deadline_raises(self, mora_ctx, mora_gens):
         with pytest.raises(LimitExceeded):
@@ -190,6 +197,85 @@ class TestPairCriteria:
             rng.shuffle(shuffled)
             again = buchberger(shuffled, ctx.monoid)
             assert [render_element(g) for g in again] == reference
+
+
+def plain_full_reduce(f, reducers, spec):
+    """The definition: reduce the leading term by the first divisor in list
+    order (``mul_monomial`` then ``sub_scaled``), or move it to the output."""
+    ctx = f.ctx
+    out = []
+    while not f.is_zero:
+        for g in reducers:
+            b = None if g.is_zero else divide(g.lm, f.lm, spec)
+            if b is not None:
+                hit = g.mul_monomial(b)
+                f = f.sub_scaled(hit, ctx.field.div(f.lc, hit.lc))
+                break
+        else:
+            out.append((f.lm, f.lc))
+            f = Element(ctx, f.terms[1:])
+    return Element.from_terms(ctx, out)
+
+
+def _reduce_context(setting):
+    variables = ("z", "y", "x")
+    order = ScalarOrder("degrevlex", variables)
+    field = PrimeField(32003) if setting == "gf" else RationalField()
+    monoid = MonoidSpec.full()
+    if setting == "degmin2":
+        monoid = MonoidSpec.degree_truncated(2)
+    elif setting == "pot2":
+        order = ModuleOrder(order, "pot", 2)
+    return Context(variables, order, monoid, field)
+
+
+def _random_element(rng, ctx, nterms, max_degree):
+    pairs = []
+    for _ in range(nterms):
+        exps = [0] * ctx.width
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(ctx.width)] += 1
+        c = ctx.field.from_ratio(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 3))
+        slots = (rng.randint(1, 2),) if ctx.rank == 2 else ()
+        pairs.append((Monomial(tuple(exps), slots), c))
+    return Element.from_terms(ctx, pairs)
+
+
+class TestFullReduce:
+    """The accumulator gives the remainder of the plain definition."""
+
+    @pytest.mark.parametrize("setting", ["q", "gf", "degmin2", "pot2"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_plain_definition(self, setting, seed):
+        ctx = _reduce_context(setting)
+        spec = ctx.monoid
+        rng = random.Random(seed)
+        for _ in range(6):
+            reducers = [_random_element(rng, ctx, rng.randint(1, 4), 2) for _ in range(4)]
+            reducers.insert(rng.randrange(5), Element.zero(ctx))
+            f = _random_element(rng, ctx, rng.randint(5, 12), 5)
+            expected = render_element(plain_full_reduce(f, reducers, spec))
+            assert render_element(verify._full_reduce(f, reducers, spec)) == expected
+
+    @pytest.mark.parametrize("setting", ["q", "gf"])
+    def test_cancelled_key_added_again(self, setting):
+        # x^2 + y*x + y: the step by x^2 + y cancels y, and the step by
+        # x*y - 2*y adds to it again
+        ctx = _reduce_context(setting)
+        reducers = [elem(ctx, "x^2 + y"), elem(ctx, "x*y - 2*y")]
+        f = elem(ctx, "x^2 + x*y + y")
+        r = verify._full_reduce(f, reducers, ctx.monoid)
+        assert render_element(r) == render_element(plain_full_reduce(f, reducers, ctx.monoid))
+        assert r == elem(ctx, "2*y")
+
+    def test_mask_inside_but_quotient_not_a_member(self):
+        # x*y divides x^2*y exponentwise, but the quotient x has degree 1
+        ctx = _reduce_context("degmin2")
+        reducers = [elem(ctx, "x*y + 1")]
+        f = elem(ctx, "x^2*y + x^3*y + z")
+        r = verify._full_reduce(f, reducers, ctx.monoid)
+        assert r == plain_full_reduce(f, reducers, ctx.monoid)
+        assert r.lm == mono(ctx, 0, 1, 2)  # x^2*y stays; x^3*y = x^2 * x*y does not
 
 
 class TestLmIdealEqual:
