@@ -17,7 +17,6 @@ from .algebra import (
 )
 from .critical import CriticalQueue, critical_pair_signatures, critical_set, queue_update
 from .engine import (
-    Limits,
     RunResult,
     SigTree,
     Strategy,

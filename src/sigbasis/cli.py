@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import re
 import sys
 import time
@@ -30,7 +31,6 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .algebra import Context, PrimeField, RationalField
 from .engine import (
-    Limits,
     Strategy,
     export_dot,
     run,
@@ -374,23 +374,21 @@ def _strategy(args) -> Strategy:
     return strategy if args.batch is None else replace(strategy, batch_size=args.batch)
 
 
-def _limits(args) -> Limits:
-    """Check the limit flags before any input is read; ``Limits`` checks the caps."""
-    try:
-        limits = Limits(args.max_insertions, args.max_seconds)
-    except ContractError as exc:
-        # the message starts with the field name, e.g. "max_seconds must be ..."
-        raise ParseError("--" + str(exc).replace("_", "-", 1)) from None
-    for flag in ("debug_invariants", "verify_deep"):
+def _deadline(args) -> float:
+    """Check the limit flags before any input is read; return the deadline
+    of the whole command."""
+    seconds = args.max_seconds
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ParseError(f"--max-seconds must be finite and >= 0, got {seconds}")
+    for flag in ("max_insertions", "debug_invariants", "verify_deep"):
         value = getattr(args, flag)
         if value is not None and value < 0:
             raise ParseError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
-    return limits
+    return time.monotonic() + seconds
 
 
 def _run_command(args) -> int:
-    limits = _limits(args)
-    deadline = time.monotonic() + limits.max_seconds
+    deadline = _deadline(args)
     strategy = _strategy(args)
     spec = _load_problem(args)
     ctx = spec.build_context()
@@ -399,7 +397,6 @@ def _run_command(args) -> int:
     if spec.generators2:
         # the oracle compares against the full generated submodule
         gens = gens + [parse_element(t, ctx) for t in spec.generators2]
-    limits = replace(limits, max_seconds=max(0.0, deadline - time.monotonic()))
 
     with contextlib.ExitStack() as stack:
         sink = None
@@ -412,7 +409,8 @@ def _run_command(args) -> int:
         result = run(
             prebasis,
             strategy,
-            limits,
+            max_insertions=args.max_insertions,
+            deadline=deadline,
             trace=sink,
             debug_invariant_stride=args.debug_invariants,
         )

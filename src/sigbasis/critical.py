@@ -9,7 +9,6 @@ pruned so that no member properly divides another.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from itertools import combinations
 
 from .errors import ContractError
 from .monomials import (
@@ -23,6 +22,8 @@ from .sigcore import SigPair, SigSet
 __all__ = [
     "critical_pair_signatures",
     "critical_set",
+    "extend_owned",
+    "minimal_union",
     "CriticalQueue",
     "queue_update",
 ]
@@ -66,19 +67,37 @@ def _undivided(ascending, divides):
     return kept
 
 
+def extend_owned(owned: list[set], G: SigSet) -> list[set]:
+    """Extend ``owned``, one set of owned critical signatures per member of
+    G in order, with every pair of the members that it does not cover yet.
+
+    G is append-only, so a record kept across calls searches each unordered
+    pair once; an empty record searches all of them.
+    """
+    spec, order, members = G.monoid, G.sig_order, G.members
+    for j in range(len(owned), len(members)):
+        g = members[j]
+        owned.append(set())
+        for i in range(j):
+            on_f, on_g = critical_pair_signatures(members[i], g, spec, order)
+            owned[i].update(on_f)
+            owned[j].update(on_g)
+    return owned
+
+
+def minimal_union(owned: list[set], sig_order) -> set[Monomial]:
+    """Union over members of their owned signatures, kept minimal
+    (exponentwise) per member."""
+    out = set()
+    for cands in owned:
+        out.update(_undivided(sorted(cands, key=sig_order.key), divides_exponentwise))
+    return out
+
+
 def critical_set(G: SigSet) -> set[Monomial]:
     """Union over members of the critical signatures they own, kept minimal
     (exponentwise) per member.  Each unordered pair is searched once."""
-    spec, order = G.monoid, G.sig_order
-    owned = [set() for _ in G.members]
-    for (i, f), (j, g) in combinations(enumerate(G.members), 2):
-        on_f, on_g = critical_pair_signatures(f, g, spec, order)
-        owned[i].update(on_f)
-        owned[j].update(on_g)
-    out = set()
-    for cands in owned:
-        out.update(_undivided(sorted(cands, key=order.key), divides_exponentwise))
-    return out
+    return minimal_union(extend_owned([], G), G.sig_order)
 
 
 class CriticalQueue:
@@ -182,7 +201,8 @@ class CriticalQueue:
         return out
 
     def pop_at(self, pos: int) -> Monomial:
-        """Positional pop for the test-only randomized policy."""
+        """Pop the entry at ``pos`` of the ascending order; the engine pops
+        with ``pop_batch``."""
         return self._pop(pos)
 
 

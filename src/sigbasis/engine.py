@@ -16,13 +16,11 @@ leading monomial divides the multiplier.
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass, field
 from time import monotonic
 
 from .algebra import Element
-from .critical import CriticalQueue, critical_set, queue_update
+from .critical import CriticalQueue, critical_set, extend_owned, minimal_union, queue_update
 from .errors import CertificateError, ContractError, LimitExceeded, SigbasisError
 from .monomials import Monomial, ScalarOrder, divide
 from .sigcore import (
@@ -37,7 +35,6 @@ from .textio import render_monomial
 
 __all__ = [
     "Strategy",
-    "Limits",
     "SigTree",
     "TreeNode",
     "RunStats",
@@ -93,20 +90,6 @@ class Strategy:
     @classmethod
     def f4(cls, batch_size: int):
         return cls("sigtree", batch_size)
-
-
-@dataclass(frozen=True, slots=True)
-class Limits:
-    max_insertions: int = 10**6
-    max_seconds: float = 300.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.max_seconds) and self.max_seconds >= 0):
-            raise ContractError(
-                f"max_seconds must be finite and >= 0, got {self.max_seconds}"
-            )
-        if self.max_insertions < 0:
-            raise ContractError(f"max_insertions must be >= 0, got {self.max_insertions}")
 
 
 @dataclass(slots=True)
@@ -186,7 +169,7 @@ def rewrite_basis_at(G: SigSet, sigma: Monomial) -> bool:
     return not realized
 
 
-def select_reductant_sigtree(sigma: Monomial, tree: SigTree, G: SigSet, child_order=None):
+def select_reductant_sigtree(sigma: Monomial, tree: SigTree, G: SigSet):
     """Descend from the virtual root through children whose signature divides
     sigma; return the last node's label and multiplier (the label's id is the
     node index)."""
@@ -194,10 +177,7 @@ def select_reductant_sigtree(sigma: Monomial, tree: SigTree, G: SigSet, child_or
     k = 0
     while True:
         moved = False
-        children = tree.nodes[k].children
-        if child_order is not None:
-            children = child_order(children)
-        for c in children:
+        for c in tree.nodes[k].children:
             if divide(tree.nodes[c].label.sig, sigma, spec) is not None:
                 k = c
                 moved = True
@@ -282,10 +262,12 @@ def _check_invariant(G: SigSet, Q: CriticalQueue, cache: dict):
     spec, pruned = G.monoid, Q.pruned_mode
     pending = Q.snapshot()
     # the critical set and rewrite_basis_at only change when the
-    # append-only G grows, so both are cached per size of G
+    # append-only G grows: the pairs of each new member are searched once
+    # into the owned record, and both results are cached per size of G
     if cache.get("size") != len(G.members):
         cache["size"] = len(G.members)
-        cache["critical"] = critical_set(G)
+        owned = extend_owned(cache.setdefault("owned", []), G)
+        cache["critical"] = minimal_union(owned, G.sig_order)
         cache["rewrite_ok"] = set()
     rewrite_ok = cache["rewrite_ok"]
     for sigma in cache["critical"]:
@@ -307,73 +289,72 @@ def _check_invariant(G: SigSet, Q: CriticalQueue, cache: dict):
 def run(
     prebasis: SigSet,
     strategy: Strategy,
-    limits: Limits = Limits(),
+    *,
+    max_insertions: int = 10**6,
+    deadline: float | None = None,
     trace=None,
     debug_invariant_stride: int = 0,
-    pop_shuffle_seed=None,
-    child_order=None,
 ) -> RunResult:
     """Extend the prebasis to a certified rewrite basis.
 
-    ``trace`` receives one dict per event (queue mutations, pops, selections,
-    reductions, insertions, skips).  ``debug_invariant_stride=k`` asserts the
-    queue invariant at every k-th loop head.  ``pop_shuffle_seed`` replaces
-    the batch pop with a seeded random pop of one signature (test-only,
-    out-of-order handling).  ``limits.max_seconds`` bounds the loop and the
-    closing certificate; either cap raises ``LimitExceeded`` carrying the
-    uncertified partial result.
+    ``max_insertions`` caps the insertions, checked at every loop head.
+    ``deadline`` is a ``time.monotonic()`` value, ``None`` for no time cap;
+    it is checked before each prebasis member's pair search, at every loop
+    head and at every critical signature of the closing certificate, but
+    not inside one reduction.  Either cap raises ``LimitExceeded`` carrying
+    the uncertified partial result.  ``trace`` receives one dict per event
+    (queue mutations, pops, selections, reductions, insertions, skips).
+    ``debug_invariant_stride=k`` asserts the queue invariant at every k-th
+    loop head.
     """
     if prebasis.origin == "adhoc":
         raise ContractError("engine input must come from a prebasis constructor")
+    if max_insertions < 0:
+        raise ContractError(f"max_insertions must be >= 0, got {max_insertions}")
     ctx = prebasis.ctx
     emit = _TraceWriter(trace, ctx.variables)
     G = SigSet(ctx, prebasis.sig_order, (), origin=prebasis.origin)
     tree = SigTree()
     Q = CriticalQueue(G.sig_order, ctx.monoid, pruned_mode=strategy.prune, trace=emit)
     stats = RunStats()
-    rng = random.Random(pop_shuffle_seed) if pop_shuffle_seed is not None else None
     invariant_cache = {}
     koszul = ctx.monoid.kind == "full" and isinstance(ctx.order, ScalarOrder)
+
+    def partial():
+        return RunResult(G, tree, syzygy_signatures(G), stats)
+
+    def check_deadline():
+        if deadline is not None and monotonic() > deadline:
+            raise LimitExceeded("time cap exceeded", partial=partial())
 
     for i, g in enumerate(prebasis.members, start=1):
         if g.id != i:
             raise ContractError("prebasis ids must be 1..r in order")
         G.add(g)
         tree.add_node(g, parent=0, rank=0, edge=ctx.identity_monomial())
+        check_deadline()
         queue_update(Q, g, G)
     stats.peak_queue = len(Q)
-
-    deadline = monotonic() + limits.max_seconds
-
-    def partial():
-        return RunResult(G, tree, syzygy_signatures(G), stats)
 
     # each selector returns (member, multiplier); the lambdas look the
     # selector up on every call, so one rebound on the module (a tracing
     # wrapper, say) takes effect
     select = {
-        "sigtree": lambda sigma: select_reductant_sigtree(
-            sigma, tree, G, child_order=child_order
-        ),
+        "sigtree": lambda sigma: select_reductant_sigtree(sigma, tree, G),
         "f5": lambda sigma: select_reductant_f5(sigma, G),
         "min_lm": lambda sigma: _select_min_lm(sigma, G),
     }[strategy.select]
 
     while len(Q):
-        if stats.insertions >= limits.max_insertions:
+        if stats.insertions >= max_insertions:
             raise LimitExceeded("insertion cap exceeded", partial=partial())
-        if monotonic() > deadline:
-            raise LimitExceeded("time cap exceeded", partial=partial())
+        check_deadline()
         if debug_invariant_stride and stats.iterations % debug_invariant_stride == 0:
             _check_invariant(G, Q, invariant_cache)
         stats.iterations += 1
 
-        if rng is None:
-            sigmas = Q.pop_batch(strategy.batch_size)
-        else:
-            sigmas = [Q.pop_at(rng.randrange(len(Q)))]
         picked = []
-        for sigma in sigmas:
+        for sigma in Q.pop_batch(strategy.batch_size):
             g, a = select(sigma)
             lm = g.part.lm.mul(a)
             emit(

@@ -218,6 +218,9 @@ class MonoidSpec:
       only for these is the common-multiple search known to be complete
       (``minimal_common_multiples``).  Since only d is stored, lists that
       differ in order or repetition give equal specs.
+
+    A truncation at degree <= 1 without exclusions, and the monoid generated
+    in degree 1, are the full monoid and are stored as ``full()``.
     """
 
     kind: str
@@ -237,6 +240,14 @@ class MonoidSpec:
             )
         if self.kind == "degree_truncated":
             self._validate_truncated()
+        # one spec for the full monoid, so that every shortcut on kind "full"
+        # (the Koszul prediction, the oracle's criteria) sees it
+        if self.generator_degree == 1 or (
+            self.kind == "degree_truncated" and self.min_degree <= 1 and not self.exclusions
+        ):
+            object.__setattr__(self, "kind", "full")
+            object.__setattr__(self, "min_degree", 0)
+            object.__setattr__(self, "generator_degree", 0)
 
     @classmethod
     def full(cls) -> "MonoidSpec":

@@ -45,6 +45,10 @@ __all__ = [
     "bounded_syzygy_check",
 ]
 
+# caps that turn a runaway input into a clean refusal
+_ORACLE_MAX_INSERTIONS = 100_000  # basis insertions in one buchberger call
+_MAX_SLICE_SIGNATURES = 4000  # signatures one bounded signature check visits
+
 
 @dataclass(frozen=True, slots=True)
 class GroebnerBasis:
@@ -179,13 +183,12 @@ def _new_pair_survivors(new, basis, h: Monomial):
     return [first for first, dropped in groups.values() if not dropped]
 
 
-def buchberger(
-    gens, spec, max_insertions: int = 100_000, *, deadline: float | None = None
-) -> GroebnerBasis:
+def buchberger(gens, spec, *, deadline: float | None = None) -> GroebnerBasis:
     """Reduced Groebner basis by classical completion.
 
     ``deadline`` is a ``time.monotonic()`` value; past it, the next popped
-    pair raises ``LimitExceeded``.
+    pair raises ``LimitExceeded``, and so does an insertion past
+    ``_ORACLE_MAX_INSERTIONS``.
     """
     basis = [g.monic() for g in gens if not g.is_zero]
     if not basis:
@@ -227,7 +230,7 @@ def buchberger(
         basis.append(r.monic())
         masks.append(_support_mask(r.lm))
         inserted += 1
-        if inserted > max_insertions:
+        if inserted > _ORACLE_MAX_INSERTIONS:
             raise LimitExceeded("oracle insertion cap exceeded")
         push_pairs(len(basis) - 1)
     return GroebnerBasis(tuple(_interreduce(basis, spec)))
@@ -295,7 +298,7 @@ class CheckReport:
 
 
 def bounded_signature_basis_check(
-    G: SigSet, D: int, max_signatures: int = 4000, *, deadline: float | None = None
+    G: SigSet, D: int, *, deadline: float | None = None
 ) -> CheckReport:
     """Echelon-pivot check of every signature slice up to degree D.
 
@@ -304,7 +307,8 @@ def bounded_signature_basis_check(
     <= D) must be the leading monomial of one of those products; a pivot
     that no admissible product reaches is a violation.  The slices only grow
     with sigma, so one ``SpanEchelon`` takes the products in signature order
-    and the unreached pivots are kept as the walk goes.
+    and the unreached pivots are kept as the walk goes.  More than
+    ``_MAX_SLICE_SIGNATURES`` reachable signatures raise ``ContractError``.
     """
     top = max((g.part.degree for g in G.members if not g.part.is_zero), default=0)
     if D < top:
@@ -317,9 +321,9 @@ def bounded_signature_basis_check(
         for a in spec.elements_up_to(len(g.sig.exps), max(budget, 0)):
             s = g.sig.mul(Monomial(a))
             sigmas[s] = skey(s)
-    if len(sigmas) > max_signatures:
+    if len(sigmas) > _MAX_SLICE_SIGNATURES:
         raise ContractError(
-            f"{len(sigmas)} signatures exceed the cap {max_signatures}"
+            f"{len(sigmas)} signatures exceed the cap {_MAX_SLICE_SIGNATURES}"
         )
     products = []
     for g in G.members:

@@ -243,6 +243,26 @@ class TestMainExitCodes:
         assert captured.out.startswith("basis: ")
         assert captured.err.startswith("limit exceeded: ") and captured.err.count("\n") == 1
 
+    def test_prebasis_pair_search_bounded_by_max_seconds(self, monkeypatch, capsys):
+        # the engine's clock reads past the deadline once the first prebasis
+        # member's pairs are searched: the next member's search never starts
+        from sigbasis import engine
+
+        real = engine.queue_update
+        searched = []
+
+        def late_queue_update(Q, g, G):
+            searched.append(g.id)
+            monkeypatch.setattr(engine, "monotonic", lambda: float("inf"))
+            return real(Q, g, G)
+
+        monkeypatch.setattr(engine, "queue_update", late_queue_update)
+        assert main(["run", "--builtin", "mora", "--max-seconds", "60"]) == 3
+        assert searched == [1]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("limit exceeded: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--max-seconds", "nan"), ("--max-seconds", "inf"), ("--max-seconds", "-1"),

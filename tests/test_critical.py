@@ -11,6 +11,8 @@ from sigbasis.critical import (
     CriticalQueue,
     critical_pair_signatures,
     critical_set,
+    extend_owned,
+    minimal_union,
     queue_update,
 )
 from sigbasis.engine import Strategy, run
@@ -228,9 +230,19 @@ class TestInvariants:
         G = make_prebasis_shifted(mora_gens, "top")
         run(G, strategy, debug_invariant_stride=1)
 
-    def test_queue_invariant_out_of_order_pops(self, mora_gens):
+    def test_queue_invariant_out_of_order_pops(self, mora_gens, monkeypatch):
+        # one pending signature at a random position per iteration
+        rng = random.Random(42)
+        pops = []
+
+        def pop_random(Q, k):
+            pops.append(k)
+            return [Q.pop_at(rng.randrange(len(Q)))]
+
+        monkeypatch.setattr(CriticalQueue, "pop_batch", pop_random)
         G = make_prebasis_shifted(mora_gens, "top")
-        run(G, Strategy.f5(), debug_invariant_stride=1, pop_shuffle_seed=42)
+        res = run(G, Strategy.f5(), debug_invariant_stride=1)
+        assert len(pops) == res.stats.iterations > 0
 
 
 def _all_pairs_minimal(sigs, divides):
@@ -358,3 +370,24 @@ class TestMinimalityScan:
             for _ in range(min(rng.randint(0, 2), len(Q))):
                 Q.pop_min()
         assert pruned_total > 0
+
+
+class TestOwnedRecord:
+    """The debug invariant keeps one owned record per run and extends it as
+    G grows; at every size it must give what ``critical_set`` gives."""
+
+    @pytest.mark.parametrize(
+        "system, monoid, sig_order",
+        [("katsura4", MonoidSpec.full(), "top"), ("katsura4", MonoidSpec.full(), "pot"),
+         ("mora", MonoidSpec.degree_truncated(2), "top"),
+         ("mora", MonoidSpec.degree_truncated(2, [(0, 3), (1, 1)]), "pot")],
+        ids=["full-top", "full-pot", "degmin2-top", "excluded-pot"],
+    )
+    def test_every_prefix_matches_critical_set(self, system, monoid, sig_order):
+        G = _restricted_set(system, monoid, sig_order, Strategy.f5())
+        owned = []
+        for n in range(len(G.members) + 1):
+            prefix = SigSet(G.ctx, G.sig_order, G.members[:n])
+            extend_owned(owned, prefix)
+            assert len(owned) == n
+            assert minimal_union(owned, G.sig_order) == critical_set(prefix)

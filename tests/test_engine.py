@@ -1,12 +1,14 @@
 """Engine loops, sigtrees, the certificate, and exports."""
 
+import itertools
+import time
+
 import pytest
 
 from conftest import elem, mono
 from sigbasis.algebra import Element
 from sigbasis.cli import parse_problem
 from sigbasis.engine import (
-    Limits,
     SigTree,
     Strategy,
     export_dot,
@@ -96,7 +98,7 @@ class TestSelection:
         with pytest.raises(ContractError):
             select_reductant_sigtree(mono(mora_ctx, 0, 1, slot=1), tree, mora_prebasis)
 
-    def test_child_order_permutation(self, mora_gens, mora_ctx):
+    def test_child_order_permutation(self, mora_gens, mora_ctx, monkeypatch):
         # Permuting the child iteration order is claimed not to matter.  On
         # this input the claim holds for every nonzero insertion, but NOT for
         # the zero markers: a reversed descent can land on a zero-part node
@@ -105,11 +107,21 @@ class TestSelection:
         # certify and agree on the ideal; the discrepancy is pinned here
         # rather than papered over.
         base = run(make_prebasis_shifted(mora_gens, "top"), Strategy.in_order())
-        permuted = run(
-            make_prebasis_shifted(mora_gens, "top"),
-            Strategy.in_order(),
-            child_order=lambda kids: list(reversed(kids)),
-        )
+        real = SigTree.add_node
+        front_inserts = []
+
+        def add_node_in_front(tree, label, parent, rank, edge):
+            # newest child first: the descent scans the children reversed
+            idx = real(tree, label, parent, rank, edge)
+            children = tree.nodes[parent].children
+            children.insert(0, children.pop())
+            front_inserts.append(idx)
+            return idx
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SigTree, "add_node", add_node_in_front)
+            permuted = run(make_prebasis_shifted(mora_gens, "top"), Strategy.in_order())
+        assert len(front_inserts) == len(permuted.tree)
 
         def nonzero(res):
             return [
@@ -197,11 +209,7 @@ class TestRun:
 
     def test_insertion_cap(self, mora_gens):
         with pytest.raises(LimitExceeded) as info:
-            run(
-                make_prebasis_shifted(mora_gens, "top"),
-                Strategy.in_order(),
-                Limits(max_insertions=2, max_seconds=300),
-            )
+            run(make_prebasis_shifted(mora_gens, "top"), Strategy.in_order(), max_insertions=2)
         assert info.value.partial is not None
         assert len(info.value.partial.basis) >= 2
 
@@ -256,18 +264,34 @@ class TestRun:
 
 
 class TestLimits:
-    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0])
-    def test_bad_time_cap_rejected(self, seconds):
-        with pytest.raises(ContractError, match="max_seconds"):
-            Limits(max_seconds=seconds)
-
-    def test_negative_insertion_cap_rejected(self):
+    def test_negative_insertion_cap_rejected(self, mora_prebasis):
         with pytest.raises(ContractError, match="max_insertions"):
-            Limits(max_insertions=-5)
+            run(mora_prebasis, Strategy.f5(), max_insertions=-5)
 
     def test_zero_caps_accepted(self, mora_prebasis):
         with pytest.raises(LimitExceeded, match="insertion cap"):
-            run(mora_prebasis, Strategy.f5(), Limits(max_insertions=0, max_seconds=0.0))
+            run(mora_prebasis, Strategy.f5(), max_insertions=0)
+
+    def test_expired_deadline_stops_before_any_pair_search(self, mora_prebasis, monkeypatch):
+        from sigbasis import engine
+
+        searched = []
+        monkeypatch.setattr(engine, "queue_update", lambda *args: searched.append(args))
+        with pytest.raises(LimitExceeded, match="time cap") as info:
+            run(mora_prebasis, Strategy.f5(), max_insertions=0, deadline=0.0)
+        assert searched == []
+        partial = info.value.partial
+        assert partial is not None and not partial.basis.certified
+        assert [m.id for m in partial.basis.members] == [1]
+        assert partial.stats.insertions == 0
+
+    def test_no_deadline_means_no_time_cap(self, mora_prebasis, monkeypatch):
+        # a clock that jumps a day per reading: any default cap would expire
+        from sigbasis import engine
+
+        clock = itertools.count(0, 86_400)
+        monkeypatch.setattr(engine, "monotonic", lambda: next(clock))
+        assert run(mora_prebasis, Strategy.f5()).basis.certified
 
 
 K4_TEXT = (
@@ -342,6 +366,23 @@ class TestKoszulPrediction:
         got = (s.iterations, s.insertions, s.zero_reductions, s.reduction_steps, s.peak_queue)
         assert s.koszul_zeros == 0 and got == counters
 
+    def test_on_for_every_declaration_of_the_full_monoid(self):
+        # degmin=0, degmin=1 and the monoid generated in degree 1 are the
+        # full monoid: the same spec, so the same prediction and counters
+        runs = {}
+        for setting in ("ring", "monoid degmin=0", "monoid degmin=1",
+                        "monoid generated=x,y,z"):
+            spec = parse_problem(
+                f"vars: z y x\nfield: GF 32003\nsetting: {setting}\ngens:\n"
+                "x^2*y^2 - z\ny^5 - x^2*y*z\nx^5 - x*y^2\nx*y*z - 1\n"
+            )
+            ctx = spec.build_context()
+            res = run(make_prebasis_shifted(spec.build_generators(ctx), "top"), Strategy.f5())
+            runs[setting] = (ctx.monoid, res.stats)
+        assert len({monoid for monoid, _ in runs.values()}) == 1
+        assert len({str(stats) for _, stats in runs.values()}) == 1
+        assert runs["ring"][1].koszul_zeros > 0
+
 
 class TestCertificate:
     def test_fails_on_input_prebasis(self, mora_prebasis, mora_ctx):
@@ -374,7 +415,7 @@ class TestCertificate:
 
         monkeypatch.setattr(engine, "faugere_certificate", late_certificate)
         with pytest.raises(LimitExceeded) as info:
-            run(mora_prebasis, Strategy.f5())
+            run(mora_prebasis, Strategy.f5(), deadline=time.monotonic() + 60)
         partial = info.value.partial
         assert partial is not None and not partial.basis.certified
         assert partial.stats.insertions > 0

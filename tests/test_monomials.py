@@ -250,6 +250,21 @@ class TestMonoidMember:
         assert a == b and hash(a) == hash(b)
         assert a != MonoidSpec.degree_truncated(2)
 
+    def test_full_monoid_has_one_spec(self):
+        # every declaration of the full monoid gives the value full()
+        for spec in (
+            MonoidSpec.degree_truncated(0),
+            MonoidSpec.degree_truncated(1),
+            MonoidSpec("degree_truncated", 1),
+            MonoidSpec.generated(list(_vectors(3, 1))),
+            MonoidSpec("generated", generator_degree=1),
+        ):
+            assert spec == FULL and hash(spec) == hash(FULL)
+        # exclusions or a higher degree keep the restriction
+        assert MonoidSpec.degree_truncated(0, [(1, 0)]).kind == "degree_truncated"
+        assert MonoidSpec.degree_truncated(2).kind == "degree_truncated"
+        assert MonoidSpec.generated(list(_vectors(2, 2))).kind == "generated"
+
     def test_fields_outside_the_kind_refused(self):
         # a spec holds only what defines its kind, so equal monoids compare equal
         for kwargs in ({"min_degree": 7}, {"exclusions": [(1, 1)]}, {"generator_degree": 2}):

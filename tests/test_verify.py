@@ -383,9 +383,10 @@ class TestBoundedSignatureBasisCheck:
         assert bounded_signature_basis_check(G, 8).violations == expected
 
     def test_signature_cap_guard(self, mora_gens):
+        # the three mora signatures reach 4,845 signatures up to degree 60
         G = make_prebasis_shifted(mora_gens, "top")
-        with pytest.raises(ContractError):
-            bounded_signature_basis_check(G, 8, max_signatures=3)
+        with pytest.raises(ContractError, match="4845 signatures exceed the cap 4000"):
+            bounded_signature_basis_check(G, 60)
 
 
     def test_expired_deadline_raises(self, mora_run):
