@@ -15,7 +15,9 @@ JSON entry per configuration:
   dense-q seeds 1-3 and the three monoid-gf systems under every preset and
   both initializations).  Each entry holds the members as (rendered part,
   rendered signature, id), the ``RunStats`` counters, every trace row and
-  the rendered ``critical_set`` of the output.
+  the rendered ``critical_set`` of a new ``SigSet`` of the output's
+  members, so the set comes from a search of its own and not from the
+  record that the run filled.
 * ``cli/...``: ``sigbasis run`` called in-process on ``--builtin`` mora and
   katsura4-6 with every preset (f4 with ``--batch 4``), on the two
   cli-verify commands of the benchmark, and on ``SUM_TEXT``, a two-block
@@ -109,13 +111,14 @@ def _engine_entry(sb, ctx, prebasis, preset: str, stride: int) -> dict:
     try:
         result = sb.engine.run(prebasis, _strategy(sb, preset), trace=rows.append,
                                debug_invariant_stride=stride)
+        basis = result.basis
         return {
             "members": [[sb.textio.render_element(m.part), render(m.sig, variables), m.id]
-                        for m in result.basis.members],
+                        for m in basis.members],
             "stats": dataclasses.asdict(result.stats),
             "trace": rows,
-            "critical_set": sorted(render(s, variables)
-                                   for s in sb.critical.critical_set(result.basis)),
+            "critical_set": sorted(render(s, variables) for s in sb.critical.critical_set(
+                sb.sigcore.SigSet(ctx, basis.sig_order, basis.members))),
         }
     except Exception as exc:  # recorded, so both sides can be compared
         return {"error": f"{type(exc).__name__}: {exc}", "trace": rows}

@@ -2,8 +2,10 @@
 
 A critical signature belongs to an unordered pair of sigpairs: for a minimal
 common multiple a*lm(f) = b*lm(g), it is the larger of a*sig(f) and b*sig(g),
-owned by that side's member.  The queue holds pending signatures, optionally
-pruned so that no member properly divides another.
+owned by that side's member.  Each pair of a ``SigSet`` is searched once,
+into its record ``G.owned``: ``queue_update`` feeds the queue from the new
+pairs, and ``critical_set`` reads the record.  The queue holds pending
+signatures, optionally pruned so that no member properly divides another.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from .sigcore import SigPair, SigSet
 __all__ = [
     "critical_pair_signatures",
     "critical_set",
-    "extend_owned",
-    "minimal_union",
     "CriticalQueue",
     "queue_update",
 ]
@@ -67,37 +67,34 @@ def _undivided(ascending, divides):
     return kept
 
 
-def extend_owned(owned: list[set], G: SigSet) -> list[set]:
-    """Extend ``owned``, one set of owned critical signatures per member of
-    G in order, with every pair of the members that it does not cover yet.
-
-    G is append-only, so a record kept across calls searches each unordered
-    pair once; an empty record searches all of them.
-    """
-    spec, order, members = G.monoid, G.sig_order, G.members
+def _search_new_pairs(G: SigSet):
+    """Search each pair {g, h} of a member g that ``G.owned`` does not cover
+    yet and an earlier member h, once per ``SigSet`` (G is append-only), add
+    each side to its owner's set, and return ``(g, h, on_g, on_h)`` in
+    search order."""
+    spec, order, members, owned = G.monoid, G.sig_order, G.members, G.owned
+    pairs = []
     for j in range(len(owned), len(members)):
-        g = members[j]
-        owned.append(set())
-        for i in range(j):
-            on_f, on_g = critical_pair_signatures(members[i], g, spec, order)
-            owned[i].update(on_f)
-            owned[j].update(on_g)
-    return owned
-
-
-def minimal_union(owned: list[set], sig_order) -> set[Monomial]:
-    """Union over members of their owned signatures, kept minimal
-    (exponentwise) per member."""
-    out = set()
-    for cands in owned:
-        out.update(_undivided(sorted(cands, key=sig_order.key), divides_exponentwise))
-    return out
+        g, g_owned = members[j], set()
+        for h, h_owned in zip(members[:j], owned):
+            on_g, on_h = critical_pair_signatures(g, h, spec, order)
+            g_owned.update(on_g)
+            h_owned.update(on_h)
+            pairs.append((g, h, on_g, on_h))
+        owned.append(g_owned)
+    return pairs
 
 
 def critical_set(G: SigSet) -> set[Monomial]:
     """Union over members of the critical signatures they own, kept minimal
-    (exponentwise) per member.  Each unordered pair is searched once."""
-    return minimal_union(extend_owned([], G), G.sig_order)
+    (exponentwise) per member.  Pairs that no search has covered yet are
+    searched first, so the set depends on G's members alone."""
+    _search_new_pairs(G)
+    key = G.sig_order.key
+    out = set()
+    for cands in G.owned:
+        out.update(_undivided(sorted(cands, key=key), divides_exponentwise))
+    return out
 
 
 class CriticalQueue:
@@ -206,14 +203,11 @@ class CriticalQueue:
         return self._pop(pos)
 
 
-def queue_update(Q: CriticalQueue, g: SigPair, G: SigSet):
-    """Add the critical signatures of every pair {g, h} with h another
-    member, sourced (owner id, other id); prune when the queue runs pruned."""
-    spec, order = G.monoid, G.sig_order
-    for h in G.members:
-        if h is g:  # a pair with itself has no critical signature
-            continue
-        on_g, on_h = critical_pair_signatures(g, h, spec, order)
+def queue_update(Q: CriticalQueue, G: SigSet):
+    """Search the pairs of the members of G not searched yet and add their
+    critical signatures, sourced (owner id, other id); prune when the queue
+    runs pruned."""
+    for g, h, on_g, on_h in _search_new_pairs(G):
         for sigma in on_g:
             Q.add(sigma, (g.id, h.id))
         for sigma in on_h:

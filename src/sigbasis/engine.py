@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from time import monotonic
 
 from .algebra import Element
-from .critical import CriticalQueue, critical_set, extend_owned, minimal_union, queue_update
+from .critical import CriticalQueue, critical_set, queue_update
 from .errors import CertificateError, ContractError, LimitExceeded, SigbasisError
 from .monomials import Monomial, ScalarOrder, divide
 from .sigcore import (
@@ -262,12 +262,10 @@ def _check_invariant(G: SigSet, Q: CriticalQueue, cache: dict):
     spec, pruned = G.monoid, Q.pruned_mode
     pending = Q.snapshot()
     # the critical set and rewrite_basis_at only change when the
-    # append-only G grows: the pairs of each new member are searched once
-    # into the owned record, and both results are cached per size of G
+    # append-only G grows: both results are cached per size of G
     if cache.get("size") != len(G.members):
         cache["size"] = len(G.members)
-        owned = extend_owned(cache.setdefault("owned", []), G)
-        cache["critical"] = minimal_union(owned, G.sig_order)
+        cache["critical"] = critical_set(G)
         cache["rewrite_ok"] = set()
     rewrite_ok = cache["rewrite_ok"]
     for sigma in cache["critical"]:
@@ -315,7 +313,8 @@ def run(
     emit = _TraceWriter(trace, ctx.variables)
     G = SigSet(ctx, prebasis.sig_order, (), origin=prebasis.origin)
     tree = SigTree()
-    Q = CriticalQueue(G.sig_order, ctx.monoid, pruned_mode=strategy.prune, trace=emit)
+    Q = CriticalQueue(G.sig_order, ctx.monoid, pruned_mode=strategy.prune,
+                      trace=None if trace is None else emit)
     stats = RunStats()
     invariant_cache = {}
     koszul = ctx.monoid.kind == "full" and isinstance(ctx.order, ScalarOrder)
@@ -333,7 +332,7 @@ def run(
         G.add(g)
         tree.add_node(g, parent=0, rank=0, edge=ctx.identity_monomial())
         check_deadline()
-        queue_update(Q, g, G)
+        queue_update(Q, G)
     stats.peak_queue = len(Q)
 
     # each selector returns (member, multiplier); the lambdas look the
@@ -410,7 +409,7 @@ def run(
             fresh.append(g_new)
         for g_new in fresh:
             G.add(g_new)
-            queue_update(Q, g_new, G)
+            queue_update(Q, G)
         stats.peak_queue = max(stats.peak_queue, len(Q))
 
     try:

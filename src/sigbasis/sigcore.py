@@ -49,6 +49,8 @@ class SigSet:
     certificate has passed; classification requires it.  Each nonzero part
     is kept with its support mask, its leading monomial's key and its
     signature's key, so the reducer lookup shifts keys by arithmetic.
+    ``owned`` holds the critical signatures owned by each member of the
+    prefix whose pairs are searched; only ``critical`` uses it.
     """
 
     def __init__(self, ctx: Context, sig_order: ModuleOrder, members=(), origin="adhoc"):
@@ -62,6 +64,7 @@ class SigSet:
         # signature key, member) of every nonzero part
         self._sigs: list[tuple[int, SigPair]] = []
         self._reducers: list[tuple[int, Monomial, int, int, SigPair]] = []
+        self.owned: list[set[Monomial]] = []
         for m in members:
             self.add(m)
 

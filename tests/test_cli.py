@@ -251,10 +251,10 @@ class TestMainExitCodes:
         real = engine.queue_update
         searched = []
 
-        def late_queue_update(Q, g, G):
-            searched.append(g.id)
+        def late_queue_update(Q, G):
+            searched.append(G.members[-1].id)
             monkeypatch.setattr(engine, "monotonic", lambda: float("inf"))
-            return real(Q, g, G)
+            return real(Q, G)
 
         monkeypatch.setattr(engine, "queue_update", late_queue_update)
         assert main(["run", "--builtin", "mora", "--max-seconds", "60"]) == 3

@@ -6,17 +6,16 @@ import random
 import pytest
 
 from conftest import elem, mono
+from sigbasis import critical
 from sigbasis.algebra import Context, Element, PrimeField, RationalField
 from sigbasis.critical import (
     CriticalQueue,
     critical_pair_signatures,
     critical_set,
-    extend_owned,
-    minimal_union,
     queue_update,
 )
 from sigbasis.engine import Strategy, run
-from sigbasis.errors import ContractError
+from sigbasis.errors import CertificateError, ContractError
 from sigbasis.monomials import (
     Monomial,
     ModuleOrder,
@@ -149,14 +148,13 @@ class TestQueue:
         # inserting g4 adds exactly the two new e2-indexed signatures
         G = make_prebasis_shifted(mora_gens, "top")
         Q = CriticalQueue(G.sig_order, mora_ctx.monoid)
-        for g in G.members:
-            queue_update(Q, g, G)
+        queue_update(Q, G)
         before = set(Q.snapshot())
         g4 = SigPair(
             elem(mora_ctx, "x^4*y - y^3"), mono(mora_ctx, 5, 2, slot=2), 4
         )
         G.add(g4)
-        queue_update(Q, g4, G)
+        queue_update(Q, G)
         gained = set(Q.snapshot()) - before
         assert {
             mono(mora_ctx, 6, 2, slot=2),
@@ -166,12 +164,11 @@ class TestQueue:
     def test_zero_part_adds_nothing(self, mora_gens, mora_ctx):
         G = make_prebasis_shifted(mora_gens, "top")
         Q = CriticalQueue(G.sig_order, mora_ctx.monoid)
-        for g in G.members:
-            queue_update(Q, g, G)
+        queue_update(Q, G)
         before = Q.snapshot()
         zero = SigPair(Element.zero(mora_ctx), mono(mora_ctx, 3, 5, slot=2), 4)
         G.add(zero)
-        queue_update(Q, zero, G)
+        queue_update(Q, G)
         assert Q.snapshot() == before
 
     def test_prune_proper_divisibility(self, mora_ctx, mora_gens):
@@ -208,8 +205,7 @@ class TestQueue:
     def test_min_pop_is_trace_minimum(self, mora_gens, mora_ctx):
         G = make_prebasis_shifted(mora_gens, "top")
         Q = CriticalQueue(G.sig_order, mora_ctx.monoid)
-        for g in G.members:
-            queue_update(Q, g, G)
+        queue_update(Q, G)
         assert Q.pop_min() == mono(mora_ctx, 5, 2, slot=2)
 
 
@@ -243,6 +239,55 @@ class TestInvariants:
         G = make_prebasis_shifted(mora_gens, "top")
         res = run(G, Strategy.f5(), debug_invariant_stride=1)
         assert len(pops) == res.stats.iterations > 0
+
+
+class TestOnePairSearch:
+    """A run searches each unordered pair of its final members once: the
+    queue, the debug invariant and the closing certificate share one
+    owned record."""
+
+    @pytest.mark.parametrize("stride", [0, 1])
+    @pytest.mark.parametrize(
+        "strategy", [Strategy.f5(), Strategy.f5_pruned(), Strategy.f4(3)],
+        ids=["f5", "f5-pruned", "f4-3"],
+    )
+    def test_pair_calls_per_run(self, strategy, stride, monkeypatch):
+        calls = []
+        real = critical.critical_pair_signatures
+
+        def counted(f, g, spec, sig_order):
+            calls.append((f.id, g.id))
+            return real(f, g, spec, sig_order)
+
+        monkeypatch.setattr(critical, "critical_pair_signatures", counted)
+        _, gens = builtin_problem("katsura4")
+        res = run(make_prebasis_shifted(gens, "top"), strategy,
+                  debug_invariant_stride=stride)
+        n = len(res.basis.members)
+        assert len(calls) == n * (n - 1) // 2
+        assert len({frozenset(pair) for pair in calls}) == len(calls)
+
+
+class TestCertificateIndependence:
+    """The queue and the owned record are filled separately: a queue that
+    drops signatures leaves the record complete, and the certificate fails."""
+
+    @pytest.mark.parametrize("owner, exps, slot", [(2, (5, 2), 2), (3, (2, 5), 3)])
+    def test_dropped_owner_fails_certificate(
+        self, mora_gens, mora_ctx, monkeypatch, owner, exps, slot
+    ):
+        real = CriticalQueue.add
+
+        def dropping(Q, sigma, source=()):
+            if source and source[0] == owner:
+                return False
+            return real(Q, sigma, source)
+
+        monkeypatch.setattr(CriticalQueue, "add", dropping)
+        with pytest.raises(CertificateError) as info:
+            run(make_prebasis_shifted(mora_gens, "top"), Strategy.f5())
+        expected = [mono(mora_ctx, *exps, slot=slot)]
+        assert str(info.value).endswith(f"certificate at {expected!r}")
 
 
 def _all_pairs_minimal(sigs, divides):
@@ -373,8 +418,9 @@ class TestMinimalityScan:
 
 
 class TestOwnedRecord:
-    """The debug invariant keeps one owned record per run and extends it as
-    G grows; at every size it must give what ``critical_set`` gives."""
+    """A run keeps one owned record on its ``SigSet`` and extends it as G
+    grows; at every size ``critical_set`` must give what a fresh search of
+    the same members gives."""
 
     @pytest.mark.parametrize(
         "system, monoid, sig_order",
@@ -385,9 +431,10 @@ class TestOwnedRecord:
     )
     def test_every_prefix_matches_critical_set(self, system, monoid, sig_order):
         G = _restricted_set(system, monoid, sig_order, Strategy.f5())
-        owned = []
+        grown = SigSet(G.ctx, G.sig_order)
         for n in range(len(G.members) + 1):
-            prefix = SigSet(G.ctx, G.sig_order, G.members[:n])
-            extend_owned(owned, prefix)
-            assert len(owned) == n
-            assert minimal_union(owned, G.sig_order) == critical_set(prefix)
+            if n:
+                grown.add(G.members[n - 1])
+            fresh = SigSet(G.ctx, G.sig_order, G.members[:n])
+            assert critical_set(grown) == critical_set(fresh)
+            assert len(grown.owned) == n
