@@ -52,7 +52,6 @@ from .sigcore import (
     make_prebasis_shifted,
     make_prebasis_sum,
     make_prebasis_unshifted,
-    multiply,
     syzygy_signatures,
 )
 from .verify import (

@@ -7,14 +7,15 @@ and prime residues are Python ints.  Values are immutable and safe to share.
 
 Each term carries its order key, one int that is additive under the monoid
 action (``ScalarOrder``).  Top reduction (``normal_form_with_steps``) uses
-that: a step f - lam * b * g walks g's terms with their keys shifted by one
-add and never builds b * g; only a term that survives as a new term of the
-result takes a product monomial, from the context's table
-(``Context.products``).  Over GF(p) the step is a modular merge.  Over Q it
-runs on integers: the element and each reducer are cleared of denominators,
-combined with integer cofactors, and divided by their content, while one
-exact rational scale tracks the factor taken out; the result becomes
-rational once, at the end.  An element's cleared row is built the first
+that: a reducer g is handed over unshifted, and a step f - lam * b * g reads
+b off the two leading monomials, walks g's terms with their keys shifted by
+one add and never builds b * g; only a term that survives as a new term of
+the result takes a product monomial, from the context's table
+(``Context.products``), and none does when b is 1.  Over GF(p) the step is a
+modular merge.  Over Q it runs on integers: the element and each reducer are
+cleared of denominators, combined with integer cofactors, and divided by
+their content, while one exact rational scale tracks the factor taken out;
+the result becomes rational once, at the end.  An element's cleared row is built the first
 time a reduction uses it and kept on the element.  Both caches live on the
 value they memoize, so no caller keeps or passes a table.
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 
 from .errors import ContractError, StructureError
 from .monomials import Monomial, ModuleOrder, MonoidSpec, ZERO, identity
@@ -344,24 +345,35 @@ def _product(exps, m, k, products, key):
     return prod
 
 
-def _reducer(found, lead: Monomial):
-    """The reducer and its multiplier (None: unshifted) from ``admit``."""
-    e, b = found if type(found) is tuple else (found, None)
-    if not e.terms or (b is None and e.terms[0][1] != lead):
-        raise ContractError("top reduction needs matching nonzero leading monomials")
-    return e, b
+def _shift(lead, e: Element):
+    """The key shift d and the multiplier's exponents b that take lm(e) to
+    the leading term ``lead`` = (key, monomial, coefficient); b is None when
+    d is 0, that is when the two leading monomials are equal."""
+    if not e.terms:
+        raise ContractError("top reduction needs a nonzero reducer")
+    k, lm, _ = e.terms[0]
+    d = lead[0] - k
+    if not d:
+        return 0, None
+    b = tuple(map(sub, lead[1].exps, lm.exps))
+    if lm.indices != lead[1].indices or min(b, default=0) < 0:
+        raise ContractError("the reducer's leading monomial must divide the target")
+    return d, b
 
 
 def normal_form_with_steps(f: Element, admit) -> tuple[Element, int]:
     """Iterate top reduction with reducers supplied by ``admit``.
 
-    ``admit`` maps a nonzero monomial to None, to a reducer element with that
-    leading monomial, or to a pair ``(g, b)`` with ``b * lm(g)`` equal to it.
-    A step f - lam * b * g never builds b * g: it walks g's terms with their
-    keys shifted by d = key(lm f) - key(lm g) (keys are additive), and only a
-    term that survives as a new term of the result takes a product monomial,
-    from the context's table (``Context.products``); merged and cancelled
-    terms keep f's monomial or none.  Over GF(p) the step is a modular merge.
+    ``admit`` maps a nonzero monomial to None or to a nonzero reducer g
+    whose leading monomial divides it; a zero reducer, or one whose leading
+    monomial does not divide the target exponentwise in the same module
+    position, raises ``ContractError``.  The multiplier b with b * lm(g) =
+    lm(f) is read off the two leading monomials.  A step f - lam * b * g
+    never builds b * g: it walks g's terms with their keys shifted by d =
+    key(lm f) - key(lm g) (keys are additive), and only a term that survives
+    as a new term of the result takes a product monomial, from the context's
+    table (``Context.products``), when d is not 0; merged and cancelled terms
+    keep f's monomial or none.  Over GF(p) the step is a modular merge.
     Over Q it runs on integer rows (see ``_fraction_free_normal_form``); the
     rows of f and of each reducer are cleared once and kept on them.  Both
     return what plain top reduction returns: f - (lc f / lc g) * b * g by
@@ -385,9 +397,8 @@ def _modular_normal_form(f: Element, admit) -> tuple[Element, int]:
     F = f.terms
     steps = 0
     while found is not None:
-        e, b = _reducer(found, F[0][1])
-        E = e.terms
-        d = F[0][0] - E[0][0]
+        d, b = _shift(F[0], found)
+        E = found.terms
         lam = F[0][2] * pow(E[0][2], -1, p) % p
         # F - lam * b * E; the leading terms cancel and are skipped
         out = []
@@ -404,8 +415,8 @@ def _modular_normal_form(f: Element, admit) -> tuple[Element, int]:
                     append((k, F[i][1], c))
                 i += 1
             else:
-                if b is not None:
-                    m = products.get(k) or _product(b.exps, m, k, products, key)
+                if d:
+                    m = products.get(k) or _product(b, m, k, products, key)
                 append((k, m, -lam * c % p))
         out.extend(F[i:])
         F = out
@@ -458,9 +469,8 @@ def _fraction_free_normal_form(f: Element, admit) -> tuple[Element, int]:
     scale = Fraction(1, den)
     steps = 0
     while found is not None:
-        e, b = _reducer(found, F[0][1])
-        E = _row(e)[0]
-        d = F[0][0] - E[0][0]
+        d, b = _shift(F[0], found)
+        E = _row(found)[0]
         ce, cf = E[0][2], F[0][2]
         g = gcd(ce, cf)
         u, v = ce // g, cf // g
@@ -480,8 +490,8 @@ def _fraction_free_normal_form(f: Element, admit) -> tuple[Element, int]:
                     append((k, F[i][1], c))
                 i += 1
             else:
-                if b is not None:
-                    m = products.get(k) or _product(b.exps, m, k, products, key)
+                if d:
+                    m = products.get(k) or _product(b, m, k, products, key)
                 append((k, m, -v * c))
         out.extend([(k, m, u * c) for k, m, c in F[i:]])
         steps += 1

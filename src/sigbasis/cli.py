@@ -249,14 +249,13 @@ def parse_problem(text: str) -> ProblemSpec:
     )
 
 
-def _build_prebasis(spec: ProblemSpec, ctx, gens, deadline: float):
+def _build_prebasis(spec: ProblemSpec, ctx, gens, gens2, deadline: float):
     if spec.sig_init == "shifted":
         return make_prebasis_shifted(gens, spec.sig_order)
     if spec.sig_init == "unshifted":
         return make_prebasis_unshifted(gens, spec.sig_order)
-    if not spec.generators2:
+    if not gens2:
         raise ParseError("sum initialization needs a 'gens2:' block")
-    gens2 = [parse_element(t, ctx) for t in spec.generators2]
     prebasis = make_prebasis_sum(gens, gens2, spec.sig_order)
     for side, block in (("first", gens), ("second", gens2)):
         if not is_groebner_basis(block, ctx.monoid, deadline=deadline):
@@ -393,10 +392,10 @@ def _run_command(args) -> int:
     spec = _load_problem(args)
     ctx = spec.build_context()
     gens = spec.build_generators(ctx)
-    prebasis = _build_prebasis(spec, ctx, gens, deadline)
-    if spec.generators2:
-        # the oracle compares against the full generated submodule
-        gens = gens + [parse_element(t, ctx) for t in spec.generators2]
+    gens2 = [parse_element(t, ctx) for t in spec.generators2]
+    prebasis = _build_prebasis(spec, ctx, gens, gens2, deadline)
+    # the oracle compares against the full generated submodule
+    gens = gens + gens2
 
     with contextlib.ExitStack() as stack:
         sink = None

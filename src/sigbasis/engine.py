@@ -27,7 +27,6 @@ from .sigcore import (
     SigPair,
     SigSet,
     find_regular_reducer,
-    multiply,
     regular_normal_form_with_steps,
     syzygy_signatures,
 )
@@ -209,9 +208,7 @@ def _select_min_lm(sigma: Monomial, G: SigSet):
     part_key = G.ctx.order.key
     best = None
     for g, a in G.realizations(sigma):
-        glm = g.part.lm
-        shifted = glm if glm.is_zero else glm.mul(a)
-        cand = (part_key(shifted), g.id)
+        cand = (part_key(g.part.lm.mul(a)), g.id)
         if best is None or cand < best[0]:
             best = (cand, g, a)
     if best is None:
@@ -219,21 +216,14 @@ def _select_min_lm(sigma: Monomial, G: SigSet):
     return best[1], best[2]
 
 
-class _TraceWriter:
-    def __init__(self, sink, variables):
-        self.sink = sink
-        self.variables = variables
+def _trace_writer(sink, variables):
+    """Hand each event to ``sink`` with its monomial fields rendered."""
 
-    def __call__(self, event: dict):
-        if self.sink is None:
-            return
-        out = {}
-        for k, v in event.items():
-            if isinstance(v, Monomial):
-                out[k] = render_monomial(v, self.variables)
-            else:
-                out[k] = v
-        self.sink(out)
+    def emit(event: dict):
+        sink({k: render_monomial(v, variables) if isinstance(v, Monomial) else v
+              for k, v in event.items()})
+
+    return emit
 
 
 def _koszul_multiple(sigma: Monomial, G: SigSet) -> bool:
@@ -310,11 +300,11 @@ def run(
     if max_insertions < 0:
         raise ContractError(f"max_insertions must be >= 0, got {max_insertions}")
     ctx = prebasis.ctx
-    emit = _TraceWriter(trace, ctx.variables)
+    # an untraced run has no writer and builds no event
+    emit = None if trace is None else _trace_writer(trace, ctx.variables)
     G = SigSet(ctx, prebasis.sig_order, (), origin=prebasis.origin)
     tree = SigTree()
-    Q = CriticalQueue(G.sig_order, ctx.monoid, pruned_mode=strategy.prune,
-                      trace=None if trace is None else emit)
+    Q = CriticalQueue(G.sig_order, ctx.monoid, pruned_mode=strategy.prune, trace=emit)
     stats = RunStats()
     invariant_cache = {}
     koszul = ctx.monoid.kind == "full" and isinstance(ctx.order, ScalarOrder)
@@ -356,18 +346,20 @@ def run(
         for sigma in Q.pop_batch(strategy.batch_size):
             g, a = select(sigma)
             lm = g.part.lm.mul(a)
-            emit(
-                {
-                    "event": "select",
-                    "signature": sigma,
-                    "node": g.id,
-                    "multiplier": a,
-                    "lm": lm,
-                }
-            )
+            if emit:
+                emit(
+                    {
+                        "event": "select",
+                        "signature": sigma,
+                        "node": g.id,
+                        "multiplier": a,
+                        "lm": lm,
+                    }
+                )
             if lm.is_zero or find_regular_reducer(lm, sigma, G) is None:
-                emit({"event": "skip", "signature": sigma, "node": g.id,
-                      "multiplier": a, "lm": lm})
+                if emit:
+                    emit({"event": "skip", "signature": sigma, "node": g.id,
+                          "multiplier": a, "lm": lm})
                 continue
             picked.append((sigma, g, a))
         fresh = []
@@ -380,31 +372,32 @@ def run(
                 stats.koszul_zeros += 1
             else:
                 # the reductant is built only for a signature that is reduced
-                f = SigPair(multiply(a, g).part, sigma, node)
+                f = SigPair(g.part.mul_monomial(a), sigma, node)
                 g_new, steps = regular_normal_form_with_steps(f, G, fresh)
             stats.reduction_steps += steps
             stats.insertions += 1
             if g_new.part.is_zero:
                 stats.zero_reductions += 1
-            emit(
-                {
-                    "event": "reduce",
-                    "signature": sigma,
-                    "lm": g_new.part.lm,
-                    "steps": steps,
-                }
-            )
-            emit(
-                {
-                    "event": "insert",
-                    "signature": sigma,
-                    "node": g_new.id,
-                    "parent": g.id,
-                    "multiplier": a,
-                    "lm": g_new.part.lm,
-                    "steps": steps,
-                }
-            )
+            if emit:
+                emit(
+                    {
+                        "event": "reduce",
+                        "signature": sigma,
+                        "lm": g_new.part.lm,
+                        "steps": steps,
+                    }
+                )
+                emit(
+                    {
+                        "event": "insert",
+                        "signature": sigma,
+                        "node": g_new.id,
+                        "parent": g.id,
+                        "multiplier": a,
+                        "lm": g_new.part.lm,
+                        "steps": steps,
+                    }
+                )
             tree.add_node(g_new, parent=g.id, rank=stats.iterations, edge=a)
             fresh.append(g_new)
         for g_new in fresh:
@@ -474,8 +467,7 @@ def validate_sigtree(
         expected_sig = parent.label.sig.mul(node.edge)
         if expected_sig != label.sig:
             violations.append(f"T1: edge signature relation broken at node {idx}")
-        parent_lm = parent.label.part.lm
-        shifted = parent_lm if parent_lm.is_zero else parent_lm.mul(node.edge)
+        shifted = parent.label.part.lm.mul(node.edge)
         if not part_key(shifted) > part_key(label.part.lm):
             violations.append(f"T1: no strict leading-monomial drop at node {idx}")
     for idx in range(1, len(tree.nodes)):

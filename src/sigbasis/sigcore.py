@@ -17,7 +17,6 @@ from .monomials import Monomial, ModuleOrder, ScalarOrder, divide, quotient_exps
 __all__ = [
     "SigPair",
     "SigSet",
-    "multiply",
     "make_prebasis_shifted",
     "make_prebasis_unshifted",
     "make_prebasis_sum",
@@ -114,13 +113,6 @@ class SigSet:
         return iter(self.members)
 
 
-def multiply(a: Monomial, f: SigPair) -> SigPair:
-    """Act on both components by an index-free monoid element."""
-    if a.degree == 0 and not a.is_zero:
-        return f
-    return SigPair(f.part.mul_monomial(a), f.sig.mul(a), f.id)
-
-
 def _sig_module_order(ctx: Context, rank: int, sig_kind: str) -> ModuleOrder:
     return ModuleOrder(ctx.order, sig_kind, max(rank, 1))
 
@@ -205,19 +197,25 @@ def _support_mask(exps) -> int:
     return mask
 
 
-def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, _sigma_key=None):
+def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, fresh=(),
+                         _sigma_key=None):
     """Smallest-signature reducer admissible strictly below ``sigma``.
 
-    Returns ``(member, multiplier)`` with ``multiplier * lm(member part) ==
-    target_lm`` and ``multiplier * sig(member) < sigma``, or None.  Ties on
+    Returns ``(reducer, multiplier)`` with ``multiplier * lm(reducer part) ==
+    target_lm`` and ``multiplier * sig(reducer) < sigma``, or None.  Ties on
     the shifted signature break toward the smallest provenance id.  A
     candidate's shifted signature key is its signature key plus the shift
     key(target) - key(lm) lifted into the signature order, so only the
     winner's multiplier is built.
+
+    ``fresh`` holds sigpairs not in G whose ids exceed every member's (a
+    batch's earlier results).  One is admitted only unshifted: its part's
+    leading monomial must equal ``target_lm``, and its multiplier is 1.
     """
     if target_lm.is_zero:
         raise ContractError("no reducer for the zero monomial")
-    best_key = _sigma_key if _sigma_key is not None else G.sig_order.key(sigma)
+    skey = G.sig_order.key
+    best_key = _sigma_key if _sigma_key is not None else skey(sigma)
     exps, indices = target_lm.exps, target_lm.indices
     target_key = G.ctx.order.key(target_lm)
     target_mask = _support_mask(exps)
@@ -237,6 +235,14 @@ def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, _sigma
         q = quotient_exps(lm.exps, exps, spec)
         if q is not None:
             best_key, best = k, (g, q)
+    # a fresh id exceeds the best's, so on the (key, id) order only a
+    # strictly smaller key wins
+    for h in fresh:
+        terms = h.part.terms
+        if terms and terms[0][0] == target_key:
+            k = skey(h.sig)
+            if k < best_key:
+                best_key, best = k, (h, (0,) * len(exps))
     if best is None:
         return None
     return best[0], Monomial(best[1])
@@ -245,38 +251,18 @@ def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, _sigma
 def regular_normal_form_with_steps(f: SigPair, G: SigSet, fresh=()):
     """Reduce the part at fixed signature until no admissible reducer remains.
 
-    ``fresh`` holds the results reduced earlier in the same batch, not yet in
-    G.  They are admitted whole: the batch is reduced in ascending signature
-    order, so their signatures are already strictly smaller.  Among all
-    admissible reducers the smallest (shifted signature, id) wins.  A member
-    reducer goes to the step with its multiplier, unbuilt.
+    Each step takes the part of ``find_regular_reducer``'s winner at the
+    leading monomial, with ``fresh`` (the batch's earlier results, not yet
+    in G) among the candidates.
     """
-    sigma = f.sig
-    skey = G.sig_order.key
-    sigma_key = skey(sigma)
+    sigma_key = G.sig_order.key(f.sig)
 
     def admit(mono):
-        found = find_regular_reducer(mono, sigma, G, _sigma_key=sigma_key)
-        if fresh:
-            best, winner = None, None
-            if found is not None:
-                g, b = found
-                best = (skey(g.sig.mul(b)), g.id)
-            for h in fresh:
-                if h.part.is_zero or h.part.lm != mono:
-                    continue
-                cand = (skey(h.sig), h.id)
-                if best is None or cand < best:
-                    best, winner = cand, h
-            if winner is not None:
-                return winner.part
-        if found is None:
-            return None
-        g, b = found
-        return g.part, b
+        found = find_regular_reducer(mono, f.sig, G, fresh, sigma_key)
+        return None if found is None else found[0].part
 
     part, steps = normal_form_with_steps(f.part, admit)
-    return SigPair(part.monic(), sigma, f.id), steps
+    return SigPair(part.monic(), f.sig, f.id), steps
 
 
 def dominates(g: SigPair, f: SigPair, sig_order: ModuleOrder) -> bool:
@@ -290,11 +276,8 @@ def dominates(g: SigPair, f: SigPair, sig_order: ModuleOrder) -> bool:
     part_key = g.part.ctx.order.key
     skey = sig_order.key
     a = divide(g.sig, f.sig, spec)
-    if a is not None:
-        glm = g.part.lm
-        shifted = glm if glm.is_zero else glm.mul(a)
-        if part_key(shifted) <= part_key(f.part.lm):
-            return True
+    if a is not None and part_key(g.part.lm.mul(a)) <= part_key(f.part.lm):
+        return True
     if not g.part.is_zero and not f.part.is_zero:
         a = divide(g.part.lm, f.part.lm, spec)
         if a is not None and skey(g.sig.mul(a)) < skey(f.sig):

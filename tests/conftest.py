@@ -13,6 +13,7 @@ import pytest
 
 from sigbasis.algebra import Context, RationalField
 from sigbasis.monomials import MonoidSpec, Monomial, ScalarOrder
+from sigbasis.sigcore import SigPair
 from sigbasis.systems import mora_context, mora_generators
 from sigbasis.textio import parse_element
 
@@ -47,6 +48,13 @@ def elem(ctx, text):
 def mono(ctx, *exps, slot=None):
     m = Monomial(tuple(exps))
     return m.with_slot(slot) if slot else m
+
+
+def multiply(a, f):
+    """The sigpair a * f: both components acted on by an index-free monoid element."""
+    if a.degree == 0 and not a.is_zero:
+        return f
+    return SigPair(f.part.mul_monomial(a), f.sig.mul(a), f.id)
 
 
 # --- independent dense echelon oracle (Fraction arithmetic, no sharing) ---

@@ -128,6 +128,37 @@ class TestNormalForm:
         rows = monoid_products(mora_gens, 8, spec)
         assert dense_membership(f.sub_scaled(out, mora_ctx.field.one), rows, mora_ctx)
 
+    @pytest.mark.parametrize("field", [RationalField(), PrimeField(32003)], ids=["q", "gf"])
+    def test_unshifted_divisor(self, mora_ctx, mora_gens, field):
+        # a reducer whose leading monomial only divides the target is shifted
+        # by the step itself, exactly as if it came already multiplied
+        from sigbasis.monomials import divide
+        from sigbasis.textio import render_element
+
+        ctx = Context(mora_ctx.variables, mora_ctx.order, mora_ctx.monoid, field)
+        gens = [elem(ctx, render_element(g)) for g in mora_gens]
+
+        def divisor(target):
+            for g in gens:
+                b = divide(g.lm, target, ctx.monoid)
+                if b is not None:
+                    return g, b
+            return None
+
+        def unshifted(target):
+            found = divisor(target)
+            return found and found[0]
+
+        def shifted(target):
+            found = divisor(target)
+            return found and found[0].mul_monomial(found[1])
+
+        f = elem(ctx, "5/2*x^4*y^5 - 1/3*x^6*y + 7/4*x^2*y^2 + 1/6")
+        got, steps = normal_form_with_steps(f, unshifted)
+        want, want_steps = normal_form_with_steps(f, shifted)
+        assert got.terms == want.terms
+        assert steps == want_steps == 4
+
 
 def field_loop_normal_form(f, admit):
     """The reference: plain top reduction in the coefficient field."""

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import elem, mono
+from conftest import elem, mono, multiply
 from sigbasis import critical
 from sigbasis.algebra import Context, Element, PrimeField, RationalField
 from sigbasis.critical import (
@@ -24,7 +24,7 @@ from sigbasis.monomials import (
     divide,
     divides_exponentwise,
 )
-from sigbasis.sigcore import SigPair, SigSet, make_prebasis_shifted, multiply
+from sigbasis.sigcore import SigPair, SigSet, make_prebasis_shifted
 from sigbasis.systems import builtin_problem
 from sigbasis.textio import parse_element, render_element
 

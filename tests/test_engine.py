@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from conftest import elem, mono
+from conftest import elem, mono, multiply
 from sigbasis.algebra import Element
 from sigbasis.cli import parse_problem
 from sigbasis.engine import (
@@ -28,7 +28,6 @@ from sigbasis.sigcore import (
     find_regular_reducer,
     make_prebasis_shifted,
     make_prebasis_unshifted,
-    multiply,
     regular_normal_form_with_steps,
 )
 from sigbasis.systems import builtin_problem, katsura

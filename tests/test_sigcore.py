@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import elem, mono
+from conftest import elem, mono, multiply
 from sigbasis.algebra import Context, Element, PrimeField, RationalField
 from sigbasis.engine import Strategy, run
 from sigbasis.errors import ContractError, StructureError
@@ -19,7 +19,6 @@ from sigbasis.sigcore import (
     make_prebasis_shifted,
     make_prebasis_sum,
     make_prebasis_unshifted,
-    multiply,
     regular_normal_form_with_steps,
     syzygy_signatures,
 )
@@ -226,14 +225,16 @@ class TestRegularReduction:
         assert via_g4.part == via_g2.part == elem(mora_ctx, "y^4 - x^2")
 
 
-def _naive_reducer(target_lm, sigma, G):
-    """Reference scan for find_regular_reducer: divide against every member."""
+def _naive_reducer(target_lm, sigma, G, fresh=()):
+    """Reference scan for find_regular_reducer: divide against every member,
+    and admit a fresh sigpair only when its part's leading monomial is the
+    target itself."""
     spec, skey = G.monoid, G.sig_order.key
     best = None
-    for g in G.members:
-        if g.part.is_zero:
-            continue
-        b = divide(g.part.lm, target_lm, spec)
+    candidates = [
+        (g, divide(g.part.lm, target_lm, spec)) for g in G.members if not g.part.is_zero
+    ] + [(h, G.ctx.identity_monomial()) for h in fresh if h.part.lm == target_lm]
+    for g, b in candidates:
         if b is None:
             continue
         cand = (skey(g.sig.mul(b)), g.id)
@@ -270,7 +271,8 @@ _QUADRATICS = [
 
 class TestMaskedReducerLookup:
     """find_regular_reducer skips members by support mask; it must choose
-    exactly what a plain divide over every member chooses."""
+    exactly what a plain divide over every member chooses, also when the
+    newer members are handed over as ``fresh`` rows of a batch."""
 
     @pytest.mark.parametrize(
         "build",
@@ -284,10 +286,17 @@ class TestMaskedReducerLookup:
     )
     def test_matches_naive_scan(self, build):
         G = build()
-        rng = random.Random(2012)
-        width = G.ctx.width
         parts = [g for g in G.members if not g.part.is_zero]
-        hits = 0
+        width = G.ctx.width
+        # the newer half of the nonzero parts goes in as fresh rows, with a
+        # last row that repeats the newest part at a larger signature
+        cut = G.members.index(parts[len(parts) // 2])
+        prefix = SigSet(G.ctx, G.sig_order, G.members[:cut])
+        x = Monomial((1,) + (0,) * (width - 1))
+        twin = SigPair(parts[-1].part, parts[-1].sig.mul(x), G.members[-1].id + 1)
+        fresh = G.members[cut:] + [twin]
+        rng = random.Random(2012)
+        hits = fresh_hits = 0
         for _ in range(400):
             lm = rng.choice(parts).part.lm
             if rng.random() < 0.5:
@@ -299,7 +308,13 @@ class TestMaskedReducerLookup:
             expected = _naive_reducer(target, sigma, G)
             assert find_regular_reducer(target, sigma, G) == expected
             hits += expected is not None
+            # a fresh row only reduces its own leading monomial
+            for t in (target, lm):
+                expected = _naive_reducer(t, sigma, prefix, fresh)
+                assert find_regular_reducer(t, sigma, prefix, fresh) == expected
+                fresh_hits += expected is not None and expected[0].id >= fresh[0].id
         assert 0 < hits < 400
+        assert fresh_hits > 0
 
 
 class TestProductTable:
