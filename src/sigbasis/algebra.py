@@ -9,15 +9,18 @@ Each term carries its order key, one int that is additive under the monoid
 action (``ScalarOrder``).  Top reduction (``normal_form_with_steps``) uses
 that: a reducer g is handed over unshifted, and a step f - lam * b * g reads
 b off the two leading monomials, walks g's terms with their keys shifted by
-one add and never builds b * g; only a term that survives as a new term of
-the result takes a product monomial, from the context's table
-(``Context.products``), and none does when b is 1.  Over GF(p) the step is a
-modular merge.  Over Q it runs on integers: the element and each reducer are
-cleared of denominators, combined with integer cofactors, and divided by
+one add and never builds b * g; only a term new to f takes a product
+monomial, from the context's table (``Context.products``), and none does
+when b is 1.  Over GF(p) the element is held in one accumulator, a dict
+keyed by order key with a heap of keys, so a step touches only the
+reducer's terms.  Over Q it runs on integers: the element and each reducer
+are cleared of denominators, combined with integer cofactors, and divided by
 their content, while one exact rational scale tracks the factor taken out;
-the result becomes rational once, at the end.  An element's cleared row is built the first
-time a reduction uses it and kept on the element.  Both caches live on the
-value they memoize, so no caller keeps or passes a table.
+the result becomes rational once, at the end.  That step scales every term
+of the element by a cofactor, so it keeps a merge of sorted lists.  An
+element's cleared row is built the first time a reduction uses it and kept
+on the element.  Both caches live on the value they memoize, so no caller
+keeps or passes a table.
 
 It is the library's one exact elimination.  ``SpanEchelon`` builds the
 echelon of a span incrementally on it, keeping one top-reduced row per
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, lcm
 from operator import add, sub
 
@@ -345,18 +349,18 @@ def _product(exps, m, k, products, key):
     return prod
 
 
-def _shift(lead, e: Element):
+def _shift(k, mono: Monomial, e: Element):
     """The key shift d and the multiplier's exponents b that take lm(e) to
-    the leading term ``lead`` = (key, monomial, coefficient); b is None when
-    d is 0, that is when the two leading monomials are equal."""
+    the leading monomial ``mono`` of key k; b is None when d is 0, that is
+    when the two leading monomials are equal."""
     if not e.terms:
         raise ContractError("top reduction needs a nonzero reducer")
-    k, lm, _ = e.terms[0]
-    d = lead[0] - k
+    ke, lm, _ = e.terms[0]
+    d = k - ke
     if not d:
         return 0, None
-    b = tuple(map(sub, lead[1].exps, lm.exps))
-    if lm.indices != lead[1].indices or min(b, default=0) < 0:
+    b = tuple(map(sub, mono.exps, lm.exps))
+    if lm.indices != mono.indices or min(b, default=0) < 0:
         raise ContractError("the reducer's leading monomial must divide the target")
     return d, b
 
@@ -370,13 +374,14 @@ def normal_form_with_steps(f: Element, admit) -> tuple[Element, int]:
     position, raises ``ContractError``.  The multiplier b with b * lm(g) =
     lm(f) is read off the two leading monomials.  A step f - lam * b * g
     never builds b * g: it walks g's terms with their keys shifted by d =
-    key(lm f) - key(lm g) (keys are additive), and only a term that survives
-    as a new term of the result takes a product monomial, from the context's
-    table (``Context.products``), when d is not 0; merged and cancelled terms
-    keep f's monomial or none.  Over GF(p) the step is a modular merge.
-    Over Q it runs on integer rows (see ``_fraction_free_normal_form``); the
-    rows of f and of each reducer are cleared once and kept on them.  Both
-    return what plain top reduction returns: f - (lc f / lc g) * b * g by
+    key(lm f) - key(lm g) (keys are additive), and only a term that is new
+    to f takes a product monomial, from the context's table
+    (``Context.products``), when d is not 0; terms already in f keep f's
+    monomial.  Over GF(p) f is held in one keyed accumulator, so a step
+    touches only g's terms (see ``_modular_normal_form``).  Over Q it runs
+    on integer rows (see ``_fraction_free_normal_form``); the rows of f and
+    of each reducer are cleared once and kept on them.  Both return what
+    plain top reduction returns: f - (lc f / lc g) * b * g by
     ``Element.sub_scaled``, step after step.
     Terminates because the leading monomial strictly decreases in a
     well-order.
@@ -387,42 +392,58 @@ def normal_form_with_steps(f: Element, admit) -> tuple[Element, int]:
 
 
 def _modular_normal_form(f: Element, admit) -> tuple[Element, int]:
-    """Top reduction over GF(p): one merge per step, residues reduced inline."""
+    """Top reduction over GF(p) on one keyed accumulator.
+
+    f is a dict from order key to residue, with a dict from key to monomial
+    and a min-heap of negated keys (Yan's geobuckets, JSC 1998; the heaps of
+    Monagan & Pearce's sparse division).  A step drops the lead and adds
+    -lam * c at each reducer term's shifted key; only a key new to the dict
+    takes a monomial and a heap entry.  A key that cancels stays in the dict
+    as 0 until it is popped, so a later step can add to it again.  The next
+    lead is the first nonzero key popped.  Terms of f that no reducer
+    touches are never copied; the survivors are emitted once at the end.
+    """
     found = admit(f.lm) if f.terms else None
     if found is None:
         return f, 0
     p = f.ctx.field.p
     key = f.ctx.order.key
     products = f.ctx.products
-    F = f.terms
+    lead, lm, lc = f.terms[0]
+    tail = f.terms[1:]
+    coeffs = {k: c for k, _, c in tail}
+    monos = {k: m for k, m, _ in tail}
+    # descending keys negate to an ascending list, which is already a heap
+    heap = [-k for k, _, _ in tail]
     steps = 0
     while found is not None:
-        d, b = _shift(F[0], found)
+        d, b = _shift(lead, lm, found)
         E = found.terms
-        lam = F[0][2] * pow(E[0][2], -1, p) % p
-        # F - lam * b * E; the leading terms cancel and are skipped
-        out = []
-        append = out.append
-        i, nf = 1, len(F)
+        lam = lc * pow(E[0][2], -1, p) % p
+        # the lead cancels; every other term of E lands strictly below it
         for k, m, c in E[1:]:
             k += d
-            while i < nf and F[i][0] > k:
-                append(F[i])
-                i += 1
-            if i < nf and F[i][0] == k:
-                c = (F[i][2] - lam * c) % p
-                if c:
-                    append((k, F[i][1], c))
-                i += 1
-            else:
+            x = coeffs.get(k)
+            if x is None:
+                coeffs[k] = -lam * c % p
                 if d:
                     m = products.get(k) or _product(b, m, k, products, key)
-                append((k, m, -lam * c % p))
-        out.extend(F[i:])
-        F = out
+                monos[k] = m
+                heappush(heap, -k)
+            else:
+                coeffs[k] = (x - lam * c) % p
         steps += 1
-        found = admit(F[0][1]) if F else None
-    return Element(f.ctx, tuple(F)), steps
+        while heap:
+            lead = -heappop(heap)
+            lc = coeffs.pop(lead)
+            if lc:
+                break
+        else:
+            return Element(f.ctx, ()), steps
+        lm = monos[lead]
+        found = admit(lm)
+    keys = sorted((k for k, c in coeffs.items() if c), reverse=True)
+    return Element(f.ctx, ((lead, lm, lc), *((k, monos[k], coeffs[k]) for k in keys))), steps
 
 
 def _cleared(terms):
@@ -458,7 +479,9 @@ def _fraction_free_normal_form(f: Element, admit) -> tuple[Element, int]:
     reducer E, shifted by b, replaces F by (lc E / g) * F - (lc F / g) * b*E,
     g = gcd of the two leading coefficients, and divides out the content of
     the result (integer-preserving elimination: Bareiss 1968; Knuth, TAOCP
-    4.6.1).  Rationals are formed once, at the end.
+    4.6.1).  Rationals are formed once, at the end.  Each step multiplies
+    every term of F by u, so it touches all of F anyway, and one merge of
+    the sorted lists is the cheapest way through.
     """
     found = admit(f.lm) if f.terms else None
     if found is None:
@@ -469,7 +492,7 @@ def _fraction_free_normal_form(f: Element, admit) -> tuple[Element, int]:
     scale = Fraction(1, den)
     steps = 0
     while found is not None:
-        d, b = _shift(F[0], found)
+        d, b = _shift(F[0][0], F[0][1], found)
         E = _row(found)[0]
         ce, cf = E[0][2], F[0][2]
         g = gcd(ce, cf)

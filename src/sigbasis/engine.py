@@ -288,10 +288,11 @@ def run(
     ``max_insertions`` caps the insertions, checked at every loop head.
     ``deadline`` is a ``time.monotonic()`` value, ``None`` for no time cap;
     it is checked before each prebasis member's pair search, at every loop
-    head and at every critical signature of the closing certificate, but
-    not inside one reduction.  Either cap raises ``LimitExceeded`` carrying
-    the uncertified partial result.  ``trace`` receives one dict per event
-    (queue mutations, pops, selections, reductions, insertions, skips).
+    head, before each reducer lookup inside a reduction and at every
+    critical signature of the closing certificate.  Either cap raises
+    ``LimitExceeded`` carrying the uncertified partial result.  ``trace``
+    receives one dict per event (queue mutations, pops, selections,
+    reductions, insertions, skips).
     ``debug_invariant_stride=k`` asserts the queue invariant at every k-th
     loop head.
     """
@@ -373,7 +374,10 @@ def run(
             else:
                 # the reductant is built only for a signature that is reduced
                 f = SigPair(g.part.mul_monomial(a), sigma, node)
-                g_new, steps = regular_normal_form_with_steps(f, G, fresh)
+                try:
+                    g_new, steps = regular_normal_form_with_steps(f, G, fresh, deadline)
+                except LimitExceeded as exc:
+                    raise LimitExceeded(f"{exc} in a reduction", partial=partial()) from None
             stats.reduction_steps += steps
             stats.insertions += 1
             if g_new.part.is_zero:

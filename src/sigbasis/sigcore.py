@@ -9,9 +9,10 @@ signature world from plain top reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import monotonic
 
 from .algebra import Context, Element, normal_form_with_steps
-from .errors import ContractError, StructureError
+from .errors import ContractError, LimitExceeded, StructureError
 from .monomials import Monomial, ModuleOrder, ScalarOrder, divide, quotient_exps
 
 __all__ = [
@@ -201,16 +202,16 @@ def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, fresh=
                          _sigma_key=None):
     """Smallest-signature reducer admissible strictly below ``sigma``.
 
-    Returns ``(reducer, multiplier)`` with ``multiplier * lm(reducer part) ==
-    target_lm`` and ``multiplier * sig(reducer) < sigma``, or None.  Ties on
-    the shifted signature break toward the smallest provenance id.  A
-    candidate's shifted signature key is its signature key plus the shift
-    key(target) - key(lm) lifted into the signature order, so only the
-    winner's multiplier is built.
+    Returns the member g, or None, for which some b has ``b * lm(g part) ==
+    target_lm`` and ``b * sig(g) < sigma``; b is not built, since a caller
+    reads it off the two leading monomials.  Ties on the shifted signature
+    break toward the smallest provenance id.  A candidate's shifted
+    signature key is its signature key plus the shift key(target) - key(lm)
+    lifted into the signature order.
 
     ``fresh`` holds sigpairs not in G whose ids exceed every member's (a
     batch's earlier results).  One is admitted only unshifted: its part's
-    leading monomial must equal ``target_lm``, and its multiplier is 1.
+    leading monomial must equal ``target_lm``.
     """
     if target_lm.is_zero:
         raise ContractError("no reducer for the zero monomial")
@@ -228,13 +229,12 @@ def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, fresh=
         k = sig_key + ((target_key - lm_key) << lift)
         # a candidate must beat sigma, then the best (key, id) so far; the key
         # is only meaningful for a divisor, which is checked last
-        if k > best_key or k == best_key and (best is None or g.id >= best[0].id):
+        if k > best_key or k == best_key and (best is None or g.id >= best.id):
             continue
         if lm.indices != indices:
             continue
-        q = quotient_exps(lm.exps, exps, spec)
-        if q is not None:
-            best_key, best = k, (g, q)
+        if quotient_exps(lm.exps, exps, spec) is not None:
+            best_key, best = k, g
     # a fresh id exceeds the best's, so on the (key, id) order only a
     # strictly smaller key wins
     for h in fresh:
@@ -242,24 +242,26 @@ def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, fresh=
         if terms and terms[0][0] == target_key:
             k = skey(h.sig)
             if k < best_key:
-                best_key, best = k, (h, (0,) * len(exps))
-    if best is None:
-        return None
-    return best[0], Monomial(best[1])
+                best_key, best = k, h
+    return best
 
 
-def regular_normal_form_with_steps(f: SigPair, G: SigSet, fresh=()):
+def regular_normal_form_with_steps(f: SigPair, G: SigSet, fresh=(), deadline=None):
     """Reduce the part at fixed signature until no admissible reducer remains.
 
     Each step takes the part of ``find_regular_reducer``'s winner at the
     leading monomial, with ``fresh`` (the batch's earlier results, not yet
-    in G) among the candidates.
+    in G) among the candidates.  ``deadline`` is a ``time.monotonic()``
+    value, ``None`` for no time cap; past it, the next lookup raises
+    ``LimitExceeded``.
     """
     sigma_key = G.sig_order.key(f.sig)
 
     def admit(mono):
+        if deadline is not None and monotonic() > deadline:
+            raise LimitExceeded("time cap exceeded")
         found = find_regular_reducer(mono, f.sig, G, fresh, sigma_key)
-        return None if found is None else found[0].part
+        return None if found is None else found.part
 
     part, steps = normal_form_with_steps(f.part, admit)
     return SigPair(part.monic(), f.sig, f.id), steps

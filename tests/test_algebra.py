@@ -172,12 +172,13 @@ def field_loop_normal_form(f, admit):
     return f, steps
 
 
-def random_rational(rng):
-    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 30), rng.choice([1, 2, 3, 4, 6, 9, 10]))
+def random_coefficient(rng, field):
+    num = rng.choice([-1, 1]) * rng.randint(1, 30)
+    return field.from_ratio(num, rng.choice([1, 2, 3, 4, 6, 9, 10]))
 
 
 def random_reduction_case(rng, ctx):
-    """A random f and a reducer dictionary lm -> element with rational tails."""
+    """A random f and a reducer dictionary lm -> element with random tails."""
     key = ctx.order.key
     monomials = [Monomial(a) for a in ctx.monoid.elements_up_to(ctx.width, 3)]
     reducers = {}
@@ -185,10 +186,10 @@ def random_reduction_case(rng, ctx):
         if rng.random() < 0.6:
             lower = [n for n in monomials if key(n) < key(m)]
             tail = rng.sample(lower, min(len(lower), rng.randint(0, 4)))
-            pairs = [(m, random_rational(rng))] + [(n, random_rational(rng)) for n in tail]
+            pairs = [(n, random_coefficient(rng, ctx.field)) for n in [m] + tail]
             reducers[m] = Element.from_terms(ctx, pairs)
     support = rng.sample(monomials, rng.randint(1, 12))
-    f = Element.from_terms(ctx, [(m, random_rational(rng)) for m in support])
+    f = Element.from_terms(ctx, [(m, random_coefficient(rng, ctx.field)) for m in support])
     return f, reducers
 
 
@@ -271,6 +272,106 @@ class TestFractionFreeNormalForm:
             normal_form_with_steps(f, lambda m: elem(mora_ctx, "y^5"))
         with pytest.raises(ContractError):
             normal_form_with_steps(f, lambda m: Element.zero(mora_ctx))
+
+
+class TestModularNormalForm:
+    """Over GF(p) the normal form runs on one keyed accumulator; it must
+    equal the field loop term for term."""
+
+    @pytest.fixture(scope="class")
+    def gf3_ctx(self):
+        names = ("z", "y", "x")
+        return Context(names, ScalarOrder("degrevlex", names), MonoidSpec.full(), PrimeField(32003))
+
+    @pytest.fixture(scope="class")
+    def gf1_ctx(self):
+        return Context(("x",), ScalarOrder("degrevlex", ("x",)), MonoidSpec.full(), PrimeField(32003))
+
+    @staticmethod
+    def assert_same(got, want):
+        (g, g_steps), (w, w_steps) = got, want
+        assert [(m, c) for _, m, c in g.terms] == [(m, c) for _, m, c in w.terms]
+        assert [k for k, _, _ in g.terms] == [k for k, _, _ in w.terms]
+        assert all(type(c) is int and 0 < c < 32003 for _, _, c in g.terms)
+        assert g_steps == w_steps
+
+    @staticmethod
+    def divisor_admits(reducers, ctx, shifts):
+        """Two admits that pick the same reducer g for a target, the one of
+        largest key whose leading monomial divides it: g as it is, and g
+        multiplied up to the target for the field loop.  ``shifts`` counts
+        the picks whose leading monomial is not the target."""
+        from sigbasis.monomials import divide
+
+        ordered = sorted(reducers.values(), key=lambda g: ctx.order.key(g.lm), reverse=True)
+
+        def pick(target):
+            for g in ordered:
+                b = divide(g.lm, target, ctx.monoid)
+                if b is not None:
+                    return g, b
+            return None
+
+        def unshifted(target):
+            found = pick(target)
+            shifts[0] += found is not None and found[0].lm != target
+            return found and found[0]
+
+        def shifted(target):
+            found = pick(target)
+            return found and found[0].mul_monomial(found[1])
+
+        return unshifted, shifted
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_field_loop_on_random_cases(self, gf3_ctx, seed):
+        rng = random.Random(seed)
+        exact_steps, shifts = 0, [0]
+        for _ in range(25):
+            f, reducers = random_reduction_case(rng, gf3_ctx)
+            want = field_loop_normal_form(f, reducers.get)
+            self.assert_same(normal_form_with_steps(f, reducers.get), want)
+            exact_steps += want[1]
+            unshifted, shifted = self.divisor_admits(reducers, gf3_ctx, shifts)
+            self.assert_same(normal_form_with_steps(f, unshifted),
+                             field_loop_normal_form(f, shifted))
+        assert exact_steps > 10 and shifts[0] > 10
+
+    def test_cancelled_key_is_added_to_again(self, gf1_ctx):
+        # step 1 cancels x and adds -x^2, step 2 adds x back through x^2 + x,
+        # and step 3 reduces that x to a constant
+        f = elem(gf1_ctx, "x^3 + x")
+        reducers = {
+            mono(gf1_ctx, 3): elem(gf1_ctx, "x^3 + x^2 + x"),
+            mono(gf1_ctx, 2): elem(gf1_ctx, "x^2 + x"),
+            mono(gf1_ctx, 1): elem(gf1_ctx, "x - 1"),
+        }
+        got = normal_form_with_steps(f, reducers.get)
+        self.assert_same(got, field_loop_normal_form(f, reducers.get))
+        assert got == (elem(gf1_ctx, "1"), 3)
+
+    def test_cancels_to_zero(self, gf1_ctx):
+        # step 1 leaves x^2 cancelled below the new lead x; step 2 cancels
+        # the last key, so only zero keys are left to pop
+        f = elem(gf1_ctx, "2*x^3 + 2*x^2 + 3*x + 1")
+        reducers = {
+            mono(gf1_ctx, 3): elem(gf1_ctx, "x^3 + x^2 + x"),
+            mono(gf1_ctx, 1): elem(gf1_ctx, "x + 1"),
+        }
+        got = normal_form_with_steps(f, reducers.get)
+        self.assert_same(got, field_loop_normal_form(f, reducers.get))
+        assert got[0].is_zero and got[1] == 2
+
+    def test_shifted_and_unshifted_steps(self, gf1_ctx):
+        # x * (x^2 + 1) takes x^3 off with a shift by x; x^2 + 1 then
+        # reduces 5*x^2 unshifted
+        f = elem(gf1_ctx, "x^3 + 5*x^2")
+        reducers = {mono(gf1_ctx, 2): elem(gf1_ctx, "x^2 + 1")}
+        shifts = [0]
+        unshifted, shifted = self.divisor_admits(reducers, gf1_ctx, shifts)
+        got = normal_form_with_steps(f, unshifted)
+        self.assert_same(got, field_loop_normal_form(f, shifted))
+        assert got == (elem(gf1_ctx, "-x - 5"), 2) and shifts == [1]
 
 
 class TestMonicDiscipline:

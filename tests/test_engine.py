@@ -284,6 +284,32 @@ class TestLimits:
         assert [m.id for m in partial.basis.members] == [1]
         assert partial.stats.insertions == 0
 
+    def test_deadline_stops_inside_a_reduction(self, monkeypatch):
+        # the reduction's clock reads past the deadline from its k-th reducer
+        # lookup on; the engine's own checks keep the real clock
+        from sigbasis import sigcore
+
+        _, gens = builtin_problem("katsura4")
+        full = run(make_prebasis_shifted(gens, "top"), Strategy.f5())
+        lookups = []
+        real = sigcore.find_regular_reducer
+
+        def counted(*args):
+            lookups.append(args[0])
+            return real(*args)
+
+        k = 20
+        monkeypatch.setattr(sigcore, "find_regular_reducer", counted)
+        monkeypatch.setattr(sigcore, "monotonic", lambda: float("inf") if len(lookups) >= k else 0.0)
+        with pytest.raises(LimitExceeded, match="time cap exceeded in a reduction") as info:
+            run(make_prebasis_shifted(gens, "top"), Strategy.f5(),
+                deadline=time.monotonic() + 60)
+        assert len(lookups) == k
+        partial = info.value.partial
+        assert partial is not None and not partial.basis.certified
+        assert 0 < partial.stats.insertions < full.stats.insertions
+        assert 0 < partial.stats.reduction_steps < full.stats.reduction_steps
+
     def test_no_deadline_means_no_time_cap(self, mora_prebasis, monkeypatch):
         # a clock that jumps a day per reading: any default cap would expire
         from sigbasis import engine

@@ -156,9 +156,9 @@ class TestRegularReduction:
     def test_find_reducer_allows_smaller_signature(self, univar_ctx):
         G = make_prebasis_shifted([elem(univar_ctx, "x - 1")], "top")
         target = Monomial((2,))
-        found = find_regular_reducer(target, Monomial((3,)).with_slot(1), G)
-        assert found is not None
-        g, b = found
+        g = find_regular_reducer(target, Monomial((3,)).with_slot(1), G)
+        assert g is not None
+        b = divide(g.part.lm, target, univar_ctx.monoid)
         assert b == Monomial((1,))
 
     def test_find_reducer_blocks_equal_or_larger(self, univar_ctx):
@@ -170,10 +170,9 @@ class TestRegularReduction:
 
     def test_find_reducer_mora(self, mora_prebasis, mora_ctx):
         # target x^2 y^5 at signature x^2y^5*e2: reducer y^3 * g1
-        found = find_regular_reducer(
-            mono(mora_ctx, 5, 2), mono(mora_ctx, 5, 2, slot=2), mora_prebasis
-        )
-        g, b = found
+        target = mono(mora_ctx, 5, 2)
+        g = find_regular_reducer(target, mono(mora_ctx, 5, 2, slot=2), mora_prebasis)
+        b = divide(g.part.lm, target, mora_ctx.monoid)
         assert g.id == 1 and b == mono(mora_ctx, 3, 0)
 
     def test_example15_two_steps(self, univar_ctx):
@@ -228,7 +227,7 @@ class TestRegularReduction:
 def _naive_reducer(target_lm, sigma, G, fresh=()):
     """Reference scan for find_regular_reducer: divide against every member,
     and admit a fresh sigpair only when its part's leading monomial is the
-    target itself."""
+    target itself; returns the winning member or None."""
     spec, skey = G.monoid, G.sig_order.key
     best = None
     candidates = [
@@ -242,7 +241,7 @@ def _naive_reducer(target_lm, sigma, G, fresh=()):
             continue
         if best is None or cand < best[0]:
             best = (cand, g, b)
-    return None if best is None else (best[1], best[2])
+    return None if best is None else best[1]
 
 
 def _katsura4_basis(monoid, strategy):
@@ -312,7 +311,7 @@ class TestMaskedReducerLookup:
             for t in (target, lm):
                 expected = _naive_reducer(t, sigma, prefix, fresh)
                 assert find_regular_reducer(t, sigma, prefix, fresh) == expected
-                fresh_hits += expected is not None and expected[0].id >= fresh[0].id
+                fresh_hits += expected is not None and expected.id >= fresh[0].id
         assert 0 < hits < 400
         assert fresh_hits > 0
 
