@@ -4,6 +4,7 @@
     python3 scripts/compare_runs.py digest ../parent parent.json
     python3 scripts/compare_runs.py digest . change.json
     python3 scripts/compare_runs.py diff parent.json change.json
+    python3 scripts/compare_runs.py diff --shape parent.json change.json
 
 ``digest`` imports ``sigbasis`` from the checkout's ``src/`` and writes one
 JSON entry per configuration:
@@ -14,7 +15,8 @@ JSON entry per configuration:
   in the checkout's ``perfbench/`` (katsura7-gf under f5 and f5-pruned,
   dense-q seeds 1-3 and the three monoid-gf systems under every preset and
   both initializations).  Each entry holds the members as (rendered part,
-  rendered signature, id), the ``RunStats`` counters, every trace row and
+  rendered leading monomial, rendered signature, id), the ``RunStats``
+  counters, every trace row and
   the rendered ``critical_set`` of a new ``SigSet`` of the output's
   members, so the set comes from a search of its own and not from the
   record that the run filled.
@@ -34,6 +36,12 @@ JSON entry per configuration:
 ``diff`` compares two digests entry by entry, prints each entry and field
 that differs, and exits 1 if any does.  Timings are never recorded, so two
 digests of the same checkout are identical.
+
+``diff --shape`` compares only what a change to the reduction's tails keeps:
+each engine entry's members as (leading monomial, signature, id), its
+counters except ``reduction_steps``, its trace rows without their ``steps``
+and its ``critical_set``; each cli entry's exit code and its ``verify`` and
+``verify-deep`` lines; and each oracle entry in full.
 
 Each system's engine configurations run on one parsed context: every run
 after its first starts with that context's product table
@@ -113,8 +121,8 @@ def _engine_entry(sb, ctx, prebasis, preset: str, stride: int) -> dict:
                                debug_invariant_stride=stride)
         basis = result.basis
         return {
-            "members": [[sb.textio.render_element(m.part), render(m.sig, variables), m.id]
-                        for m in basis.members],
+            "members": [[sb.textio.render_element(m.part), render(m.part.lm, variables),
+                         render(m.sig, variables), m.id] for m in basis.members],
             "stats": dataclasses.asdict(result.stats),
             "trace": rows,
             "critical_set": sorted(render(s, variables) for s in sb.critical.critical_set(
@@ -235,9 +243,31 @@ def _first_difference(a, b) -> str:
     return f"{a!r} != {b!r}"
 
 
-def diff(path_a: Path, path_b: Path) -> int:
+def _shape(key: str, entry: dict) -> dict:
+    """The fields of an entry that full and top reduction share."""
+    if key.startswith("engine/"):
+        shape = {k: v for k, v in entry.items() if k in ("error", "critical_set")}
+        if "members" in entry:
+            shape["members"] = [row[1:] for row in entry["members"]]
+        if "stats" in entry:
+            shape["stats"] = {k: v for k, v in entry["stats"].items()
+                              if k != "reduction_steps"}
+        shape["trace"] = [{k: v for k, v in row.items() if k != "steps"}
+                          for row in entry["trace"]]
+        return shape
+    if key.startswith("cli/"):
+        return {"exit": entry["exit"],
+                "verify": [line for line in entry["stdout"].splitlines()
+                           if line.startswith(("verify:", "verify-deep:"))]}
+    return entry
+
+
+def diff(path_a: Path, path_b: Path, shape: bool = False) -> int:
     a = json.loads(path_a.read_text())
     b = json.loads(path_b.read_text())
+    if shape:
+        a = {key: _shape(key, entry) for key, entry in a.items()}
+        b = {key: _shape(key, entry) for key, entry in b.items()}
     differing = 0
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
@@ -263,12 +293,15 @@ def main(argv=None) -> int:
     dg.add_argument("checkout", type=Path)
     dg.add_argument("out", type=Path)
     df = sub.add_parser("diff", help="compare two digests; exit 1 if they differ")
+    df.add_argument("--shape", action="store_true",
+                    help="compare leading monomials, signatures, ids, counters other than "
+                         "reduction_steps, cli verify lines and oracle bases only")
     df.add_argument("a", type=Path)
     df.add_argument("b", type=Path)
     args = ap.parse_args(argv)
     if args.command == "digest":
         return digest(args.checkout, args.out)
-    return diff(args.a, args.b)
+    return diff(args.a, args.b, args.shape)
 
 
 if __name__ == "__main__":

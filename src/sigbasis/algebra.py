@@ -1,4 +1,4 @@
-"""Exact coefficients, sparse elements, top reduction, and bounded span oracles.
+"""Exact coefficients, sparse elements, reduction, and bounded span oracles.
 
 Elements are finitely supported coefficient combinations of monomials, kept
 sorted strictly descending under the declared order, with no zero
@@ -6,21 +6,24 @@ coefficients.  All arithmetic is exact: rationals are ``fractions.Fraction``
 and prime residues are Python ints.  Values are immutable and safe to share.
 
 Each term carries its order key, one int that is additive under the monoid
-action (``ScalarOrder``).  Top reduction (``normal_form_with_steps``) uses
-that: a reducer g is handed over unshifted, and a step f - lam * b * g reads
-b off the two leading monomials, walks g's terms with their keys shifted by
-one add and never builds b * g; only a term new to f takes a product
-monomial, from the context's table (``Context.products``), and none does
-when b is 1.  Over GF(p) the element is held in one accumulator, a dict
-keyed by order key with a heap of keys, so a step touches only the
-reducer's terms.  Over Q it runs on integers: the element and each reducer
-are cleared of denominators, combined with integer cofactors, and divided by
-their content, while one exact rational scale tracks the factor taken out;
-the result becomes rational once, at the end.  That step scales every term
-of the element by a cofactor, so it keeps a merge of sorted lists.  An
-element's cleared row is built the first time a reduction uses it and kept
-on the element.  Both caches live on the value they memoize, so no caller
-keeps or passes a table.
+action (``ScalarOrder``).  Reduction (``normal_form_with_steps``) uses that:
+it asks its caller for a reducer with the term's key and monomial, is
+handed a reducer g unshifted, and a step f - lam * b * g reads b off the
+two leading monomials, walks g's terms with their keys shifted by one add
+and never builds b * g; only a term new to f takes a product monomial, from
+the context's table (``Context.products``), and none does when b is 1.  It
+reduces the leading term only (top reduction) or every term in descending
+order (full reduction); the caller chooses.  Over GF(p) the element is held
+in one accumulator, a dict keyed by order key with a heap of keys, so a
+step touches only the reducer's terms and irreducible terms leave in pop
+order.  Over Q it runs on integers: the unreduced suffix and each reducer
+are cleared of denominators, combined with integer cofactors, and divided
+by their content, while one exact rational scale tracks the factor taken
+out; each irreducible run becomes rational once, with the scale it had.
+That step scales every term of the suffix by a cofactor, so it keeps a
+merge of sorted lists.  An element's cleared row is built the first time a
+reduction uses it and kept on the element.  Both caches live on the value
+they memoize, so no caller keeps or passes a table.
 
 It is the library's one exact elimination.  ``SpanEchelon`` builds the
 echelon of a span incrementally on it, keeping one top-reduced row per
@@ -354,7 +357,7 @@ def _shift(k, mono: Monomial, e: Element):
     the leading monomial ``mono`` of key k; b is None when d is 0, that is
     when the two leading monomials are equal."""
     if not e.terms:
-        raise ContractError("top reduction needs a nonzero reducer")
+        raise ContractError("a reduction step needs a nonzero reducer")
     ke, lm, _ = e.terms[0]
     d = k - ke
     if not d:
@@ -365,62 +368,89 @@ def _shift(k, mono: Monomial, e: Element):
     return d, b
 
 
-def normal_form_with_steps(f: Element, admit) -> tuple[Element, int]:
-    """Iterate top reduction with reducers supplied by ``admit``.
+def normal_form_with_steps(f: Element, admit, *, full: bool) -> tuple[Element, int]:
+    """Reduce f with reducers supplied by ``admit``.
 
-    ``admit`` maps a nonzero monomial to None or to a nonzero reducer g
-    whose leading monomial divides it; a zero reducer, or one whose leading
-    monomial does not divide the target exponentwise in the same module
-    position, raises ``ContractError``.  The multiplier b with b * lm(g) =
-    lm(f) is read off the two leading monomials.  A step f - lam * b * g
-    never builds b * g: it walks g's terms with their keys shifted by d =
-    key(lm f) - key(lm g) (keys are additive), and only a term that is new
-    to f takes a product monomial, from the context's table
+    ``admit(k, m)`` is called with a term's order key k and monomial m and
+    returns None or a nonzero reducer g whose leading monomial divides m; a
+    zero reducer, or one whose leading monomial does not divide m
+    exponentwise in the same module position, raises ``ContractError``.
+    The terms are visited in descending order.  A term that ``admit``
+    reduces is replaced by f - lam * b * g, with b * lm(g) = m read off the
+    two leading monomials and lam the quotient of the two coefficients.
+    With ``full`` every term below an irreducible one is visited too (full
+    reduction: no term of the result is reducible); without it the first
+    irreducible term ends the reduction and the rest of f is kept as it is
+    (top reduction).  Callers choose explicitly: the engine's regular
+    normal form reduces fully, and ``SpanEchelon``, which needs only
+    leading monomials, top-reduces.
+
+    A step never builds b * g: it walks g's terms with their keys shifted by
+    d = k - key(lm g) (keys are additive), and only a term that is new to f
+    takes a product monomial, from the context's table
     (``Context.products``), when d is not 0; terms already in f keep f's
     monomial.  Over GF(p) f is held in one keyed accumulator, so a step
     touches only g's terms (see ``_modular_normal_form``).  Over Q it runs
     on integer rows (see ``_fraction_free_normal_form``); the rows of f and
     of each reducer are cleared once and kept on them.  Both return what
-    plain top reduction returns: f - (lc f / lc g) * b * g by
-    ``Element.sub_scaled``, step after step.
-    Terminates because the leading monomial strictly decreases in a
+    the plain loop returns: f - (c / lc g) * b * g by ``Element.sub_scaled``
+    at each reduced term c * m, step after step.  Terminates because each
+    step replaces the visited term by terms strictly below it, in a
     well-order.
     """
     if isinstance(f.ctx.field, RationalField):
-        return _fraction_free_normal_form(f, admit)
-    return _modular_normal_form(f, admit)
+        return _fraction_free_normal_form(f, admit, full)
+    return _modular_normal_form(f, admit, full)
 
 
-def _modular_normal_form(f: Element, admit) -> tuple[Element, int]:
-    """Top reduction over GF(p) on one keyed accumulator.
+def _first_reducible(terms, admit, full):
+    """The index of the first term that ``admit`` reduces and its reducer;
+    without ``full`` only the leading term is tried.  None if there is none."""
+    for i, (k, m, _) in enumerate(terms):
+        found = admit(k, m)
+        if found is not None:
+            return i, found
+        if not full:
+            break
+    return None
 
-    f is a dict from order key to residue, with a dict from key to monomial
-    and a min-heap of negated keys (Yan's geobuckets, JSC 1998; the heaps of
-    Monagan & Pearce's sparse division).  A step drops the lead and adds
-    -lam * c at each reducer term's shifted key; only a key new to the dict
-    takes a monomial and a heap entry.  A key that cancels stays in the dict
-    as 0 until it is popped, so a later step can add to it again.  The next
-    lead is the first nonzero key popped.  Terms of f that no reducer
-    touches are never copied; the survivors are emitted once at the end.
+
+def _modular_normal_form(f: Element, admit, full) -> tuple[Element, int]:
+    """Reduction over GF(p) on one keyed accumulator.
+
+    f below the term being reduced is a dict from order key to residue,
+    with a dict from key to monomial and a min-heap of negated keys (Yan's
+    geobuckets, JSC 1998; the heaps of Monagan & Pearce's sparse division).
+    A step drops the reduced term and adds -lam * c at each reducer term's
+    shifted key; only a key new to the dict takes a monomial and a heap
+    entry.  A key that cancels stays in the dict as 0 until it is popped, so
+    a later step can add to it again.  Keys are popped in descending order
+    and the first nonzero one is the next term to reduce.  An irreducible
+    term is final, since every later step lands strictly below it: full
+    reduction emits each in pop order, so its result needs no sort, and top
+    reduction stops at the first and emits the rest of the dict once,
+    sorted by key.  Terms of f that no reducer touches are never copied.
     """
-    found = admit(f.lm) if f.terms else None
-    if found is None:
+    first = _first_reducible(f.terms, admit, full)
+    if first is None:
         return f, 0
+    i, found = first
     p = f.ctx.field.p
     key = f.ctx.order.key
     products = f.ctx.products
-    lead, lm, lc = f.terms[0]
-    tail = f.terms[1:]
-    coeffs = {k: c for k, _, c in tail}
-    monos = {k: m for k, m, _ in tail}
+    out = list(f.terms[:i])
+    lead, lm, lc = f.terms[i]
+    rest = f.terms[i + 1:]
+    coeffs = {k: c for k, _, c in rest}
+    monos = {k: m for k, m, _ in rest}
     # descending keys negate to an ascending list, which is already a heap
-    heap = [-k for k, _, _ in tail]
+    heap = [-k for k, _, _ in rest]
     steps = 0
-    while found is not None:
+    while True:
         d, b = _shift(lead, lm, found)
         E = found.terms
         lam = lc * pow(E[0][2], -1, p) % p
-        # the lead cancels; every other term of E lands strictly below it
+        # the reduced term cancels; every other term of E lands below it
         for k, m, c in E[1:]:
             k += d
             x = coeffs.get(k)
@@ -433,17 +463,23 @@ def _modular_normal_form(f: Element, admit) -> tuple[Element, int]:
             else:
                 coeffs[k] = (x - lam * c) % p
         steps += 1
-        while heap:
-            lead = -heappop(heap)
-            lc = coeffs.pop(lead)
-            if lc:
+        while True:
+            while heap:
+                lead = -heappop(heap)
+                lc = coeffs.pop(lead)
+                if lc:
+                    break
+            else:
+                return Element(f.ctx, tuple(out)), steps
+            lm = monos[lead]
+            found = admit(lead, lm)
+            if found is not None:
                 break
-        else:
-            return Element(f.ctx, ()), steps
-        lm = monos[lead]
-        found = admit(lm)
-    keys = sorted((k for k, c in coeffs.items() if c), reverse=True)
-    return Element(f.ctx, ((lead, lm, lc), *((k, monos[k], coeffs[k]) for k in keys))), steps
+            out.append((lead, lm, lc))
+            if not full:
+                keys = sorted((k for k, c in coeffs.items() if c), reverse=True)
+                out.extend((k, monos[k], coeffs[k]) for k in keys)
+                return Element(f.ctx, tuple(out)), steps
 
 
 def _cleared(terms):
@@ -472,35 +508,40 @@ def _content(values) -> int:
     return g
 
 
-def _fraction_free_normal_form(f: Element, admit) -> tuple[Element, int]:
-    """Top reduction over Q on integer rows with one exact scale.
+def _fraction_free_normal_form(f: Element, admit, full) -> tuple[Element, int]:
+    """Reduction over Q on integer rows, one exact scale per run.
 
-    f is kept as scale * F with F integral.  A step against the cleared
-    reducer E, shifted by b, replaces F by (lc E / g) * F - (lc F / g) * b*E,
-    g = gcd of the two leading coefficients, and divides out the content of
-    the result (integer-preserving elimination: Bareiss 1968; Knuth, TAOCP
-    4.6.1).  Rationals are formed once, at the end.  Each step multiplies
-    every term of F by u, so it touches all of F anyway, and one merge of
-    the sorted lists is the cheapest way through.
+    The unreduced suffix of f is kept as scale * F with F integral.  A step
+    at F's term j against the cleared reducer E, shifted by b, replaces F by
+    (lc E / g) * F[j+1:] - (F[j] / g) * b*E[1:], g = gcd of the two
+    coefficients, and divides out the content of the result
+    (integer-preserving elimination: Bareiss 1968; Knuth, TAOCP 4.6.1).
+    F[:j] is irreducible and final: it leaves as one run, made rational with
+    the scale current at that moment, so a later step scales and divides
+    only the suffix.  Each step multiplies every term of the suffix by u, so
+    it touches all of it anyway, and one merge of the sorted lists is the
+    cheapest way through.
     """
-    found = admit(f.lm) if f.terms else None
-    if found is None:
+    first = _first_reducible(f.terms, admit, full)
+    if first is None:
         return f, 0
+    j, found = first
     key = f.ctx.order.key
     products = f.ctx.products
+    out = list(f.terms[:j])
     F, den = _row(f)
     scale = Fraction(1, den)
     steps = 0
-    while found is not None:
-        d, b = _shift(F[0][0], F[0][1], found)
+    while True:
+        d, b = _shift(F[j][0], F[j][1], found)
         E = _row(found)[0]
-        ce, cf = E[0][2], F[0][2]
+        ce, cf = E[0][2], F[j][2]
         g = gcd(ce, cf)
         u, v = ce // g, cf // g
-        # u * F - v * b * E; the leading terms cancel and are skipped
-        out = []
-        append = out.append
-        i, nf = 1, len(F)
+        # u * F[j:] - v * b * E; the reduced terms cancel and are skipped
+        suffix = []
+        append = suffix.append
+        i, nf = j + 1, len(F)
         for k, m, c in E[1:]:
             k += d
             while i < nf and F[i][0] > k:
@@ -516,18 +557,29 @@ def _fraction_free_normal_form(f: Element, admit) -> tuple[Element, int]:
                 if d:
                     m = products.get(k) or _product(b, m, k, products, key)
                 append((k, m, -v * c))
-        out.extend([(k, m, u * c) for k, m, c in F[i:]])
+        suffix.extend([(k, m, u * c) for k, m, c in F[i:]])
         steps += 1
-        if not out:
-            return Element(f.ctx, ()), steps
-        content = _content(c for _, _, c in out)
+        if not suffix:
+            return Element(f.ctx, tuple(out)), steps
+        content = _content(c for _, _, c in suffix)
         if content > 1:
-            out = [(k, m, c // content) for k, m, c in out]
-        F = out
+            suffix = [(k, m, c // content) for k, m, c in suffix]
+        F = suffix
         scale = scale * Fraction(g * content, ce)
-        found = admit(F[0][1])
+        first = _first_reducible(F, admit, full)
+        if first is None:
+            break
+        j, found = first
+        if j:
+            out.extend(_rational(F[:j], scale))
+    out.extend(_rational(F, scale))
+    return Element(f.ctx, tuple(out)), steps
+
+
+def _rational(terms, scale):
+    """The integer terms times the exact scale, as rational terms."""
     num, den = scale.numerator, scale.denominator
-    return Element(f.ctx, tuple((k, m, Fraction(c * num, den)) for k, m, c in F)), steps
+    return [(k, m, Fraction(c * num, den)) for k, m, c in terms]
 
 
 class SpanEchelon:
@@ -535,8 +587,9 @@ class SpanEchelon:
 
     Each fed element is top-reduced by ``normal_form_with_steps`` against the
     rows kept so far, and a nonzero remainder is kept under its leading
-    monomial.  The kept rows have distinct leading monomials and span what
-    was fed, so those monomials are the pivots of the span.
+    monomial's order key.  The kept rows have distinct leading monomials and
+    span what was fed, so those monomials are the pivots of the span.  Only
+    the leading monomials matter here, so the tails are left unreduced.
     """
 
     def __init__(self, rows=()):
@@ -549,13 +602,14 @@ class SpanEchelon:
 
         The remainder is zero exactly when f lies in the span fed so far.
         """
-        r, _ = normal_form_with_steps(f, self.rows.get)
+        rows = self.rows
+        r, _ = normal_form_with_steps(f, lambda k, m: rows.get(k), full=False)
         if r.terms:
-            self.rows[r.lm] = r
+            rows[r.terms[0][0]] = r
         return r
 
     def pivot_monomials(self):
-        return list(self.rows)
+        return [r.lm for r in self.rows.values()]
 
 
 def bounded_span_pivots(gens, D: int, spec: MonoidSpec):

@@ -192,11 +192,12 @@ def select_reductant_sigtree(sigma: Monomial, tree: SigTree, G: SigSet):
 def select_reductant_f5(sigma: Monomial, G: SigSet):
     """Most recent member whose signature divides sigma, unless a zero-part
     member's does (the signature is then a recorded syzygy): then the oldest
-    such member."""
+    such member.  The scan runs oldest first, so it stops there."""
     best = None
-    for g, a in G.realizations(sigma):  # newest first
-        if best is None or g.part.is_zero:
-            best = (g, a)
+    for g, a in G.realizations(sigma, newest_first=False):
+        if g.part.is_zero:
+            return g, a
+        best = (g, a)
     if best is None:
         raise ContractError("no member signature divides the requested signature")
     return best

@@ -3,7 +3,8 @@
 A sigpair couples a polynomial part with a signature monomial.  Regular
 reduction only admits reducers whose shifted signature stays strictly below
 the signature being worked at; this is the constraint that distinguishes the
-signature world from plain top reduction.
+signature world from plain reduction.  It is applied to every term of the
+part, the leading one first (full regular reduction).
 """
 
 from __future__ import annotations
@@ -84,11 +85,12 @@ class SigSet:
                 (_support_mask(lm.exps), lm, key, self.sig_order.key(sp.sig), sp)
             )
 
-    def realizations(self, sigma: Monomial):
-        """Yield ``(member, a)`` with ``a * sig(member) == sigma``, newest first."""
+    def realizations(self, sigma: Monomial, newest_first=True):
+        """Yield ``(member, a)`` with ``a * sig(member) == sigma``, newest
+        first, or oldest first when ``newest_first`` is false."""
         spec = self.ctx.monoid
         sigma_mask = _support_mask(sigma.exps)
-        for mask, g in reversed(self._sigs):
+        for mask, g in reversed(self._sigs) if newest_first else self._sigs:
             if mask & ~sigma_mask:
                 continue
             a = divide(g.sig, sigma, spec)
@@ -199,7 +201,7 @@ def _support_mask(exps) -> int:
 
 
 def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, fresh=(),
-                         _sigma_key=None):
+                         _sigma_key=None, _target_key=None):
     """Smallest-signature reducer admissible strictly below ``sigma``.
 
     Returns the member g, or None, for which some b has ``b * lm(g part) ==
@@ -211,14 +213,16 @@ def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, fresh=
 
     ``fresh`` holds sigpairs not in G whose ids exceed every member's (a
     batch's earlier results).  One is admitted only unshifted: its part's
-    leading monomial must equal ``target_lm``.
+    leading monomial must equal ``target_lm``.  ``_sigma_key`` and
+    ``_target_key``, when given, are the order keys of ``sigma`` and
+    ``target_lm``, which a reduction already holds.
     """
     if target_lm.is_zero:
         raise ContractError("no reducer for the zero monomial")
     skey = G.sig_order.key
     best_key = _sigma_key if _sigma_key is not None else skey(sigma)
     exps, indices = target_lm.exps, target_lm.indices
-    target_key = G.ctx.order.key(target_lm)
+    target_key = _target_key if _target_key is not None else G.ctx.order.key(target_lm)
     target_mask = _support_mask(exps)
     lift = G.sig_order.lift
     spec = G.ctx.monoid
@@ -247,23 +251,25 @@ def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, fresh=
 
 
 def regular_normal_form_with_steps(f: SigPair, G: SigSet, fresh=(), deadline=None):
-    """Reduce the part at fixed signature until no admissible reducer remains.
+    """Fully reduce the part at fixed signature: every term, the leading one
+    first, until no admissible reducer remains for any of them.
 
-    Each step takes the part of ``find_regular_reducer``'s winner at the
-    leading monomial, with ``fresh`` (the batch's earlier results, not yet
-    in G) among the candidates.  ``deadline`` is a ``time.monotonic()``
-    value, ``None`` for no time cap; past it, the next lookup raises
-    ``LimitExceeded``.
+    Each term t is reduced by the part of ``find_regular_reducer``'s winner
+    at t, so each step subtracts a multiple of signature strictly below
+    ``f.sig`` and the signature stays.  ``fresh`` (the batch's earlier
+    results, not yet in G) are among the candidates.  ``deadline`` is a
+    ``time.monotonic()`` value, ``None`` for no time cap; past it, the next
+    lookup raises ``LimitExceeded``.
     """
     sigma_key = G.sig_order.key(f.sig)
 
-    def admit(mono):
+    def admit(k, mono):
         if deadline is not None and monotonic() > deadline:
             raise LimitExceeded("time cap exceeded")
-        found = find_regular_reducer(mono, f.sig, G, fresh, sigma_key)
+        found = find_regular_reducer(mono, f.sig, G, fresh, sigma_key, k)
         return None if found is None else found.part
 
-    part, steps = normal_form_with_steps(f.part, admit)
+    part, steps = normal_form_with_steps(f.part, admit, full=True)
     return SigPair(part.monic(), f.sig, f.id), steps
 
 

@@ -84,18 +84,18 @@ class TestNormalForm:
         g = elem(univar_ctx, "x - 1")
         spec = univar_ctx.monoid
 
-        def admit(target):
+        def admit(k, target):
             from sigbasis.monomials import divide
 
             b = divide(g.lm, target, spec)
             return g.mul_monomial(b) if b is not None else None
 
-        out = normal_form_with_steps(elem(univar_ctx, "x^2"), admit)[0]
+        out = normal_form_with_steps(elem(univar_ctx, "x^2"), admit, full=False)[0]
         assert out == elem(univar_ctx, "1")
 
     def test_irreducible_unchanged(self, mora_ctx):
         f = elem(mora_ctx, "x^2*y^2 - 1")
-        assert normal_form_with_steps(f, lambda target: None)[0] == f
+        assert normal_form_with_steps(f, lambda k, target: None, full=False)[0] == f
 
     def test_shifted_reducer(self, mora_ctx):
         # y^2 * (x^5 - x y^2) reduced once by x^3 * (x^2 y^2 - 1)
@@ -103,20 +103,20 @@ class TestNormalForm:
         reducer = elem(mora_ctx, "x^2*y^2 - 1").mul_monomial(mono(mora_ctx, 0, 3))
         used = []
 
-        def admit(target):
+        def admit(k, target):
             if not used and target == reducer.lm:
                 used.append(1)
                 return reducer
             return None
 
-        assert normal_form_with_steps(f, admit)[0] == elem(mora_ctx, "-x*y^4 + x^3")
+        assert normal_form_with_steps(f, admit, full=False)[0] == elem(mora_ctx, "-x*y^4 + x^3")
 
     def test_coset_preserved(self, mora_ctx, mora_gens):
         # the normal form differs from the input by a span member
         spec = mora_ctx.monoid
         from sigbasis.monomials import divide
 
-        def admit(target):
+        def admit(k, target):
             for g in mora_gens:
                 b = divide(g.lm, target, spec)
                 if b is not None:
@@ -124,7 +124,7 @@ class TestNormalForm:
             return None
 
         f = elem(mora_ctx, "x^2*y^5 + y^2")
-        out = normal_form_with_steps(f, admit)[0]
+        out = normal_form_with_steps(f, admit, full=False)[0]
         rows = monoid_products(mora_gens, 8, spec)
         assert dense_membership(f.sub_scaled(out, mora_ctx.field.one), rows, mora_ctx)
 
@@ -145,17 +145,17 @@ class TestNormalForm:
                     return g, b
             return None
 
-        def unshifted(target):
+        def unshifted(k, target):
             found = divisor(target)
             return found and found[0]
 
-        def shifted(target):
+        def shifted(k, target):
             found = divisor(target)
             return found and found[0].mul_monomial(found[1])
 
         f = elem(ctx, "5/2*x^4*y^5 - 1/3*x^6*y + 7/4*x^2*y^2 + 1/6")
-        got, steps = normal_form_with_steps(f, unshifted)
-        want, want_steps = normal_form_with_steps(f, shifted)
+        got, steps = normal_form_with_steps(f, unshifted, full=False)
+        want, want_steps = normal_form_with_steps(f, shifted, full=False)
         assert got.terms == want.terms
         assert steps == want_steps == 4
 
@@ -164,12 +164,17 @@ def field_loop_normal_form(f, admit):
     """The reference: plain top reduction in the coefficient field."""
     steps = 0
     while not f.is_zero:
-        e = admit(f.lm)
+        e = admit(f.terms[0][0], f.lm)
         if e is None:
             break
         f = top_reduce_step(f, e)
         steps += 1
     return f, steps
+
+
+def by_lm(reducers):
+    """An admit that looks the target monomial up in a dict lm -> reducer."""
+    return lambda k, m: reducers.get(m)
 
 
 def random_coefficient(rng, field):
@@ -215,8 +220,8 @@ class TestFractionFreeNormalForm:
         total_steps = 0
         for _ in range(25):
             f, reducers = random_reduction_case(rng, q3_ctx)
-            want = field_loop_normal_form(f, reducers.get)
-            self.assert_same(normal_form_with_steps(f, reducers.get), want)
+            want = field_loop_normal_form(f, by_lm(reducers))
+            self.assert_same(normal_form_with_steps(f, by_lm(reducers), full=False), want)
             total_steps += want[1]
         assert total_steps > 10
 
@@ -226,7 +231,7 @@ class TestFractionFreeNormalForm:
 
         gens = [g.scale(mora_ctx.field.from_ratio(3, 7)) for g in mora_gens]
 
-        def admit(target):
+        def admit(k, target):
             for g in gens:
                 b = divide(g.lm, target, spec)
                 if b is not None:
@@ -234,44 +239,46 @@ class TestFractionFreeNormalForm:
             return None
 
         f = elem(mora_ctx, "5/2*x^4*y^5 - 1/3*x^6*y + 7/4*x^2*y^2 + 1/6")
-        self.assert_same(normal_form_with_steps(f, admit), field_loop_normal_form(f, admit))
+        self.assert_same(normal_form_with_steps(f, admit, full=False),
+                         field_loop_normal_form(f, admit))
 
     def test_content_is_stripped_into_the_scale(self, univar_ctx):
         # the row after one step is 2*x + 4, content 2
         f = elem(univar_ctx, "x^2 + 2*x + 4")
         reducers = {mono(univar_ctx, 2): elem(univar_ctx, "x^2")}
-        got = normal_form_with_steps(f, reducers.get)
-        self.assert_same(got, field_loop_normal_form(f, reducers.get))
+        got = normal_form_with_steps(f, by_lm(reducers), full=False)
+        self.assert_same(got, field_loop_normal_form(f, by_lm(reducers)))
         assert got == (elem(univar_ctx, "2*x + 4"), 1)
 
     def test_common_factor_of_leading_coefficients(self, mora_ctx):
         # cleared rows 2*x^2 + y and 2*x^2 + 1: gcd of the leading coefficients is 2
         f = elem(mora_ctx, "x^2 + 1/2*y")
         reducers = {mono(mora_ctx, 0, 2): elem(mora_ctx, "x^2 + 1/2")}
-        got = normal_form_with_steps(f, reducers.get)
-        self.assert_same(got, field_loop_normal_form(f, reducers.get))
+        got = normal_form_with_steps(f, by_lm(reducers), full=False)
+        self.assert_same(got, field_loop_normal_form(f, by_lm(reducers)))
         assert got == (elem(mora_ctx, "1/2*y - 1/2"), 1)
 
     def test_cancels_to_zero(self, mora_ctx):
         f = elem(mora_ctx, "2/3*x^2*y^2 - 2/3")
         reducers = {mono(mora_ctx, 2, 2): elem(mora_ctx, "x^2*y^2 - 1")}
-        got = normal_form_with_steps(f, reducers.get)
+        got = normal_form_with_steps(f, by_lm(reducers), full=False)
         assert got[0].is_zero and got[1] == 1
 
     def test_empty_admit_returns_input(self, mora_ctx):
         f = elem(mora_ctx, "1/2*x^2*y^2 - 3")
-        assert normal_form_with_steps(f, {}.get) == (f, 0)
+        assert normal_form_with_steps(f, by_lm({}), full=False) == (f, 0)
 
     def test_zero_element(self, mora_ctx):
         zero = Element.zero(mora_ctx)
-        assert normal_form_with_steps(zero, lambda m: pytest.fail("admit called")) == (zero, 0)
+        got = normal_form_with_steps(zero, lambda k, m: pytest.fail("admit called"), full=False)
+        assert got == (zero, 0)
 
     def test_lm_mismatch_rejected(self, mora_ctx):
         f = elem(mora_ctx, "1/2*x^2 + y")
         with pytest.raises(ContractError):
-            normal_form_with_steps(f, lambda m: elem(mora_ctx, "y^5"))
+            normal_form_with_steps(f, lambda k, m: elem(mora_ctx, "y^5"), full=False)
         with pytest.raises(ContractError):
-            normal_form_with_steps(f, lambda m: Element.zero(mora_ctx))
+            normal_form_with_steps(f, lambda k, m: Element.zero(mora_ctx), full=False)
 
 
 class TestModularNormalForm:
@@ -312,12 +319,12 @@ class TestModularNormalForm:
                     return g, b
             return None
 
-        def unshifted(target):
+        def unshifted(k, target):
             found = pick(target)
             shifts[0] += found is not None and found[0].lm != target
             return found and found[0]
 
-        def shifted(target):
+        def shifted(k, target):
             found = pick(target)
             return found and found[0].mul_monomial(found[1])
 
@@ -329,11 +336,11 @@ class TestModularNormalForm:
         exact_steps, shifts = 0, [0]
         for _ in range(25):
             f, reducers = random_reduction_case(rng, gf3_ctx)
-            want = field_loop_normal_form(f, reducers.get)
-            self.assert_same(normal_form_with_steps(f, reducers.get), want)
+            want = field_loop_normal_form(f, by_lm(reducers))
+            self.assert_same(normal_form_with_steps(f, by_lm(reducers), full=False), want)
             exact_steps += want[1]
             unshifted, shifted = self.divisor_admits(reducers, gf3_ctx, shifts)
-            self.assert_same(normal_form_with_steps(f, unshifted),
+            self.assert_same(normal_form_with_steps(f, unshifted, full=False),
                              field_loop_normal_form(f, shifted))
         assert exact_steps > 10 and shifts[0] > 10
 
@@ -346,8 +353,8 @@ class TestModularNormalForm:
             mono(gf1_ctx, 2): elem(gf1_ctx, "x^2 + x"),
             mono(gf1_ctx, 1): elem(gf1_ctx, "x - 1"),
         }
-        got = normal_form_with_steps(f, reducers.get)
-        self.assert_same(got, field_loop_normal_form(f, reducers.get))
+        got = normal_form_with_steps(f, by_lm(reducers), full=False)
+        self.assert_same(got, field_loop_normal_form(f, by_lm(reducers)))
         assert got == (elem(gf1_ctx, "1"), 3)
 
     def test_cancels_to_zero(self, gf1_ctx):
@@ -358,8 +365,8 @@ class TestModularNormalForm:
             mono(gf1_ctx, 3): elem(gf1_ctx, "x^3 + x^2 + x"),
             mono(gf1_ctx, 1): elem(gf1_ctx, "x + 1"),
         }
-        got = normal_form_with_steps(f, reducers.get)
-        self.assert_same(got, field_loop_normal_form(f, reducers.get))
+        got = normal_form_with_steps(f, by_lm(reducers), full=False)
+        self.assert_same(got, field_loop_normal_form(f, by_lm(reducers)))
         assert got[0].is_zero and got[1] == 2
 
     def test_shifted_and_unshifted_steps(self, gf1_ctx):
@@ -369,9 +376,92 @@ class TestModularNormalForm:
         reducers = {mono(gf1_ctx, 2): elem(gf1_ctx, "x^2 + 1")}
         shifts = [0]
         unshifted, shifted = self.divisor_admits(reducers, gf1_ctx, shifts)
-        got = normal_form_with_steps(f, unshifted)
+        got = normal_form_with_steps(f, unshifted, full=False)
         self.assert_same(got, field_loop_normal_form(f, shifted))
         assert got == (elem(gf1_ctx, "-x - 5"), 2) and shifts == [1]
+
+
+def full_field_loop_normal_form(f, admit):
+    """The reference for full reduction: the field loop continued through
+    the tail.  An irreducible leading term is set aside and the loop goes on
+    with the rest of f."""
+    done, steps = [], 0
+    while not f.is_zero:
+        k, m, _ = f.terms[0]
+        e = admit(k, m)
+        if e is None:
+            done.append(f.terms[0])
+            f = Element(f.ctx, f.terms[1:])
+        else:
+            f = top_reduce_step(f, e)
+            steps += 1
+    return Element(f.ctx, tuple(done)), steps
+
+
+@pytest.fixture(scope="module", params=[RationalField(), PrimeField(32003)], ids=["q", "gf"])
+def field3_ctx(request):
+    names = ("z", "y", "x")
+    return Context(names, ScalarOrder("degrevlex", names), MonoidSpec.full(), request.param)
+
+
+class TestFullNormalForm:
+    """With ``full`` both kernels reduce every term, and must equal the field
+    loop continued through the tail term for term."""
+
+    @staticmethod
+    def assert_same(got, want):
+        (g, g_steps), (w, w_steps) = got, want
+        assert [(m, c) for _, m, c in g.terms] == [(m, c) for _, m, c in w.terms]
+        assert [k for k, _, _ in g.terms] == [k for k, _, _ in w.terms]
+        if isinstance(g.ctx.field, RationalField):
+            assert all(type(c) is Fraction for _, _, c in g.terms)
+        else:
+            assert all(type(c) is int and 0 < c < 32003 for _, _, c in g.terms)
+        assert g_steps == w_steps
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_field_loop_on_random_cases(self, field3_ctx, seed):
+        rng = random.Random(seed)
+        tail_steps, shifts = 0, [0]
+        for _ in range(25):
+            f, reducers = random_reduction_case(rng, field3_ctx)
+            want = full_field_loop_normal_form(f, by_lm(reducers))
+            self.assert_same(normal_form_with_steps(f, by_lm(reducers), full=True), want)
+            tail_steps += want[1] - field_loop_normal_form(f, by_lm(reducers))[1]
+            unshifted, shifted = TestModularNormalForm.divisor_admits(
+                reducers, field3_ctx, shifts)
+            self.assert_same(normal_form_with_steps(f, unshifted, full=True),
+                             full_field_loop_normal_form(f, shifted))
+        assert tail_steps > 10 and shifts[0] > 10
+
+    def test_irreducible_lead_keeps_its_place(self, field3_ctx):
+        # z^3 has no reducer; y^2 below it is reduced, x is not
+        f = elem(field3_ctx, "z^3 + 2*y^2 + x")
+        reducers = {mono(field3_ctx, 0, 2, 0): elem(field3_ctx, "y^2 - 1/2*x + 3")}
+        got = normal_form_with_steps(f, by_lm(reducers), full=True)
+        self.assert_same(got, full_field_loop_normal_form(f, by_lm(reducers)))
+        assert got == (elem(field3_ctx, "z^3 + 2*x - 6"), 1)
+        assert normal_form_with_steps(f, by_lm(reducers), full=False) == (f, 0)
+
+    def test_runs_keep_their_own_scale(self, field3_ctx):
+        # irreducible z^4, then 1/3*z^3 reduced (over Q the scale changes),
+        # irreducible z^2, then z reduced again, then the constant
+        f = elem(field3_ctx, "1/2*z^4 + 1/3*z^3 + 5/7*z^2 + z + 1")
+        reducers = {
+            mono(field3_ctx, 3, 0, 0): elem(field3_ctx, "6/5*z^3 + 2/3*z^2 + 3/4*z"),
+            mono(field3_ctx, 1, 0, 0): elem(field3_ctx, "4/9*z + 2/11"),
+        }
+        got = normal_form_with_steps(f, by_lm(reducers), full=True)
+        self.assert_same(got, full_field_loop_normal_form(f, by_lm(reducers)))
+        assert got[1] == 2 and len(got[0].terms) == 3
+
+    def test_tail_cancels_to_the_lead(self, field3_ctx):
+        # the only step cancels everything below the irreducible lead
+        f = elem(field3_ctx, "z^3 + y^2 + x")
+        reducers = {mono(field3_ctx, 0, 2, 0): elem(field3_ctx, "y^2 + x")}
+        got = normal_form_with_steps(f, by_lm(reducers), full=True)
+        self.assert_same(got, full_field_loop_normal_form(f, by_lm(reducers)))
+        assert got == (elem(field3_ctx, "z^3"), 1)
 
 
 class TestMonicDiscipline:

@@ -1,6 +1,7 @@
 """Engine loops, sigtrees, the certificate, and exports."""
 
 import itertools
+import pathlib
 import time
 
 import pytest
@@ -157,6 +158,53 @@ class TestSelection:
         S = SigSet(mora_ctx, sig_order, members)
         g, _ = select_reductant_f5(mono(mora_ctx, 4, 3, slot=1), S)
         assert g.id == 3 and g.part.is_zero
+
+
+def newest_first_f5(sigma, G):
+    """The f5 rule as a newest-first scan that keeps the last zero-part
+    realizer it meets, that is the oldest one."""
+    best = None
+    for g, a in G.realizations(sigma):
+        if best is None or g.part.is_zero:
+            best = (g, a)
+    return best
+
+
+PERFBENCH_INPUTS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+
+class TestF5ScanOrder:
+    """``select_reductant_f5`` scans oldest first and stops at a zero-part
+    realizer; it must pick what the newest-first scan picks."""
+
+    @pytest.mark.parametrize(
+        "problem",
+        ["katsura4", "katsura4-degmin2-gf", "katsura4-gen2-gf", "mora-degmin2-gf"],
+    )
+    def test_matches_newest_first_rule(self, problem, monkeypatch):
+        from sigbasis import engine
+
+        if problem == "katsura4":
+            _, gens = builtin_problem(problem)
+            prebasis = make_prebasis_shifted(gens, "top")
+        else:
+            spec = parse_problem((PERFBENCH_INPUTS / f"{problem}.sys").read_text())
+            ctx = spec.build_context()
+            prebasis = make_prebasis_shifted(spec.build_generators(ctx), spec.sig_order)
+        real = engine.select_reductant_f5
+        picks = []
+
+        def compared(sigma, G):
+            got = real(sigma, G)
+            want = newest_first_f5(sigma, G)
+            assert (got[0].id, got[1]) == (want[0].id, want[1])
+            picks.append(got[0].part.is_zero)
+            return got
+
+        monkeypatch.setattr(engine, "select_reductant_f5", compared)
+        assert run(prebasis, Strategy.f5()).basis.certified
+        # both branches of the rule are taken
+        assert any(picks) and not all(picks)
 
 
 class TestRun:
@@ -367,13 +415,13 @@ class TestKoszulPrediction:
                 "vars: d c b a\nfield: GF 32003\nsetting: monoid degmin=2\ngens:\n"
                 + K4_TEXT,
                 Strategy.f5(),
-                (334, 150, 124, 2512, 265),
+                (334, 150, 124, 2823, 265),
             ),
             (
                 "vars: d c b a\nfield: GF 32003\nsetting: monoid "
                 "generated=d^2,c*d,b*d,a*d,c^2,b*c,a*c,b^2,a*b,a^2\ngens:\n" + K4_TEXT,
                 Strategy.min_lm(),
-                (58, 25, 15, 467, 31),
+                (58, 25, 15, 552, 31),
             ),
             (
                 "vars: x y\nsetting: module rank=2 order=pot\ngens:\n"
@@ -407,6 +455,30 @@ class TestKoszulPrediction:
         assert len({monoid for monoid, _ in runs.values()}) == 1
         assert len({str(stats) for _, stats in runs.values()}) == 1
         assert runs["ring"][1].koszul_zeros > 0
+
+
+class TestFullReduction:
+    """The engine's normal form reduces every term, not only the leading one."""
+
+    @pytest.mark.parametrize("sig_order", ["top", "pot"])
+    @pytest.mark.parametrize(
+        "strategy",
+        [Strategy.in_order(), Strategy.min_lm(), Strategy.f5(), Strategy.f5_pruned()],
+        ids=["in-order", "min-lm", "f5", "f5-pruned"],
+    )
+    @pytest.mark.parametrize("problem", ["mora", "katsura4"])
+    def test_no_term_of_an_inserted_member_is_reducible(self, problem, strategy, sig_order):
+        # one signature per iteration, ascending, so a member inserted later
+        # has a larger signature and is never admissible for an earlier one:
+        # the final basis holds the same candidates as the state at insertion
+        _, gens = builtin_problem(problem)
+        G = run(make_prebasis_shifted(gens, sig_order), strategy).basis
+        tails = 0
+        for g in G.members[len(gens):]:
+            for _, t, _ in g.part.terms:
+                assert find_regular_reducer(t, g.sig, G) is None
+            tails += len(g.part.terms) > 1
+        assert tails
 
 
 class TestCertificate:
@@ -513,16 +585,16 @@ class TestStrategyAgreement:
     @pytest.mark.parametrize(
         "strategy, sig_order, counters",
         [
-            (Strategy.in_order(), "top", (27, 16, 11, 30, 19)),
-            (Strategy.min_lm(), "top", (27, 12, 7, 30, 19)),
-            (Strategy.f5(), "top", (27, 12, 7, 30, 19)),
-            (Strategy.f5_pruned(), "top", (13, 12, 7, 30, 5)),
-            (Strategy.f4(4), "top", (8, 17, 11, 35, 18)),
-            (Strategy.in_order(), "pot", (31, 18, 12, 30, 18)),
-            (Strategy.min_lm(), "pot", (31, 13, 7, 30, 18)),
-            (Strategy.f5(), "pot", (31, 13, 7, 30, 18)),
-            (Strategy.f5_pruned(), "pot", (14, 13, 7, 30, 4)),
-            (Strategy.f4(4), "pot", (10, 24, 17, 35, 17)),
+            (Strategy.in_order(), "top", (27, 16, 11, 42, 19)),
+            (Strategy.min_lm(), "top", (27, 12, 7, 42, 19)),
+            (Strategy.f5(), "top", (27, 12, 7, 42, 19)),
+            (Strategy.f5_pruned(), "top", (13, 12, 7, 42, 5)),
+            (Strategy.f4(4), "top", (8, 17, 11, 53, 18)),
+            (Strategy.in_order(), "pot", (31, 18, 12, 44, 18)),
+            (Strategy.min_lm(), "pot", (31, 13, 7, 44, 18)),
+            (Strategy.f5(), "pot", (31, 13, 7, 44, 18)),
+            (Strategy.f5_pruned(), "pot", (14, 13, 7, 44, 4)),
+            (Strategy.f4(4), "pot", (10, 24, 17, 54, 17)),
         ],
     )
     def test_katsura4_counters(self, strategy, sig_order, counters):
