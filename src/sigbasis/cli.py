@@ -405,16 +405,21 @@ def _run_command(args) -> int:
             def sink(row):
                 trace_file.write(json.dumps(row, sort_keys=True) + "\n")
 
-        result = run(
-            prebasis,
-            strategy,
-            max_insertions=args.max_insertions,
-            deadline=deadline,
-            trace=sink,
-            debug_invariant_stride=args.debug_invariants,
-        )
+        try:
+            result = run(
+                prebasis,
+                strategy,
+                max_insertions=args.max_insertions,
+                deadline=deadline,
+                trace=sink,
+                debug_invariant_stride=args.debug_invariants,
+            )
+        except LimitExceeded as exc:
+            # a capped run still says how far it got
+            if args.emit_json and exc.partial is not None:
+                _emit_json(args, strategy, spec, exc.partial, partial=True)
+            raise
 
-    variables = ctx.variables
     print(
         f"basis: {len(result.basis.members)} sigpairs "
         f"({result.stats.zero_reductions} syzygy markers), "
@@ -461,15 +466,23 @@ def _run_command(args) -> int:
         with open(args.emit_dot, "w", encoding="utf-8") as fh:
             fh.write(export_dot(result, highlight))
     if args.emit_json:
-        payload = _result_json(result, spec, variables)
-        payload["config"]["strategy"] = args.strategy
-        if args.strategy == "f4":
-            payload["config"]["batch"] = strategy.batch_size
-        with open(args.emit_json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _emit_json(args, strategy, spec, result)
 
     return 2 if failed else 0
+
+
+def _emit_json(args, strategy: Strategy, spec: ProblemSpec, result, *, partial=False):
+    """Write the ``--emit-json`` payload; a partial result of a capped run
+    also says ``"certified": false``."""
+    payload = _result_json(result, spec, spec.variables)
+    payload["config"]["strategy"] = args.strategy
+    if args.strategy == "f4":
+        payload["config"]["batch"] = strategy.batch_size
+    if partial:
+        payload["certified"] = False
+    with open(args.emit_json, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 if __name__ == "__main__":

@@ -11,12 +11,17 @@ restricted monoid every minimal common multiple is reduced.  The reduced
 output is unique, which makes it a stable fixture source for comparing
 engine runs.  The oracle fully reduces with its own routine
 (``_full_reduce``): one dict accumulator per element with a max-heap of
-order keys, reducers found by a first-divisor scan behind its own support
-masks.  It shares no reduction kernel with the engine
-(``normal_form_with_steps``) and no reducer lookup with ``SigSet``; the
-tests also compare the oracle with sympy's Groebner bases, which share no
-code with this package.  Its products share only immutable monomials with
-the engine, through the context's table.
+order keys, reduced mod p once per popped term over GF(p), and reducers
+found by a first-divisor scan behind its own support masks.  Each
+completion (and each closure check) keeps one memo from a term's order key
+to its first divisor, so a term is looked up once per run, not once per
+reduction that meets it: completion only appends to its basis, so a first
+divisor stays first and a miss resumes its scan where it stopped.  It
+shares no reduction kernel with the engine (``normal_form_with_steps``)
+and no reducer lookup with ``SigSet``; the tests also compare the oracle
+with sympy's Groebner bases, which share no code with this package.  Its
+products share only immutable monomials with the engine, through the
+context's table.
 
 The bounded checks are exact linear algebra over degree-bounded slices.
 Each feeds its products, in signature order, into one incremental
@@ -31,9 +36,15 @@ from heapq import heappop, heappush
 from operator import add
 from time import monotonic
 
-from .algebra import Element, SpanEchelon, _product
+from .algebra import Element, PrimeField, SpanEchelon, _product
 from .errors import ContractError, LimitExceeded
-from .monomials import Monomial, divide, divides_exponentwise, minimal_common_multiples
+from .monomials import (
+    Monomial,
+    divide,
+    divides_exponentwise,
+    minimal_common_multiples,
+    quotient_exps,
+)
 from .sigcore import SigSet
 
 __all__ = [
@@ -79,7 +90,7 @@ def _support_mask(m: Monomial) -> int:
     return mask
 
 
-def _full_reduce(f: Element, reducers, spec, masks=None) -> Element:
+def _full_reduce(f: Element, reducers, spec, masks=None, memo=None) -> Element:
     """Divide every term of f by the reducer list (not only the top).
 
     Each term, largest first, is reduced by the first reducer in list order
@@ -89,14 +100,26 @@ def _full_reduce(f: Element, reducers, spec, masks=None) -> Element:
     additive), pushes only keys that are new, and leaves the other terms
     alone.  A coefficient that cancels stays in the dict as zero until its
     key is popped, so a later step that reaches the key again adds to it.
-    Product monomials come from the context's table (``Context.products``).
+    The accumulator adds with plain operators; over GF(p) each popped
+    coefficient is reduced mod p once, so the output holds canonical
+    residues.  Product monomials come from the context's table
+    (``Context.products``).
+
     ``masks`` holds ``_support_mask`` of each reducer's leading monomial;
-    a reducer whose mask is not inside the term's skips ``divide``.
+    a reducer whose mask is not inside the term's is not tested.  ``memo``
+    maps a term's order key to ``(n, g, b)``: the first divisor g (or None)
+    among ``reducers[:n]`` and its quotient's exponents b.  It stays exact
+    while the caller only appends to ``reducers`` and ``masks``: a first
+    divisor stays first, and a miss resumes its scan at ``reducers[n:]``.
+    Without a memo, each term's divisor is still looked up once per call.
     """
     if masks is None:
         masks = [_support_mask(g.lm) for g in reducers]
+    if memo is None:
+        memo = {}
     ctx = f.ctx
     field = ctx.field
+    p = field.p if isinstance(field, PrimeField) else None
     key = ctx.order.key
     products = ctx.products
     coeffs = {k: c for k, _, c in f.terms}
@@ -106,29 +129,39 @@ def _full_reduce(f: Element, reducers, spec, masks=None) -> Element:
     while heap:
         k = -heappop(heap)
         c = coeffs.pop(k)
-        if field.is_zero(c):
+        if p:
+            c %= p
+        if not c:
             continue
-        t = monos[k]
-        t_mask = _support_mask(t)
-        for g, mask in zip(reducers, masks):
-            if not mask & ~t_mask and (b := divide(g.lm, t, spec)) is not None:
-                break
-        else:
-            out.append((k, t, c))
+        n, g, b = memo.get(k, (0, None, None))
+        if g is None and n < len(reducers):
+            t = monos[k]
+            t_mask = _support_mask(t)
+            for g, mask in zip(reducers[n:], masks[n:]):
+                if (
+                    not mask & ~t_mask
+                    and g.lm.indices == t.indices
+                    and (b := quotient_exps(g.lm.exps, t.exps, spec)) is not None
+                ):
+                    break
+            else:
+                g = None
+            memo[k] = (len(reducers), g, b)
+        if g is None:
+            out.append((k, monos[k], c))
             continue
         lam = field.div(c, g.terms[0][2])
         d = k - g.terms[0][0]
         for kg, m, cg in g.terms[1:]:
             kg += d
-            x = field.mul(lam, cg)
             prev = coeffs.get(kg)
             if prev is not None:
-                coeffs[kg] = field.sub(prev, x)
+                coeffs[kg] = prev - lam * cg
                 continue
-            coeffs[kg] = field.neg(x)
+            coeffs[kg] = -lam * cg
             heappush(heap, -kg)
             if d:
-                m = products.get(kg) or _product(b.exps, m, kg, products, key)
+                m = products.get(kg) or _product(b, m, kg, products, key)
             monos[kg] = m
     return Element(ctx, tuple(out))
 
@@ -186,14 +219,18 @@ def _new_pair_survivors(new, basis, h: Monomial):
 def buchberger(gens, spec, *, deadline: float | None = None) -> GroebnerBasis:
     """Reduced Groebner basis by classical completion.
 
-    ``deadline`` is a ``time.monotonic()`` value; past it, the next popped
-    pair raises ``LimitExceeded``, and so does an insertion past
-    ``_ORACLE_MAX_INSERTIONS``.
+    ``deadline`` is a ``time.monotonic()`` value; past it, the start, the
+    next popped pair or the next member of the final interreduction raises
+    ``LimitExceeded``, and so does an insertion past
+    ``_ORACLE_MAX_INSERTIONS``.  ``basis`` and ``masks`` only grow by
+    append, so one divisor memo serves every reduction of the completion.
     """
+    _check_deadline(deadline)
     basis = [g.monic() for g in gens if not g.is_zero]
     if not basis:
         return GroebnerBasis(())
     masks = [_support_mask(g.lm) for g in basis]
+    memo = {}
     criteria = spec.kind == "full"
     pairs = []
     live = {}  # counter -> (i, j, common multiple) of every pair still pending
@@ -224,7 +261,7 @@ def buchberger(gens, spec, *, deadline: float | None = None) -> GroebnerBasis:
         if live.pop(key, None) is None:
             continue
         s = _spair(basis[i], basis[j], a, b)
-        r = _full_reduce(s, basis, spec, masks)
+        r = _full_reduce(s, basis, spec, masks, memo)
         if r.is_zero:
             continue
         basis.append(r.monic())
@@ -233,14 +270,16 @@ def buchberger(gens, spec, *, deadline: float | None = None) -> GroebnerBasis:
         if inserted > _ORACLE_MAX_INSERTIONS:
             raise LimitExceeded("oracle insertion cap exceeded")
         push_pairs(len(basis) - 1)
-    return GroebnerBasis(tuple(_interreduce(basis, spec)))
+    return GroebnerBasis(tuple(_interreduce(basis, spec, deadline)))
 
 
-def _interreduce(basis, spec):
+def _interreduce(basis, spec, deadline):
     """Drop members with divisible leading monomials, then tail-reduce.
 
     Scanning by ascending leading monomial is complete: a divisor's leading
-    monomial is never larger than the multiple's.
+    monomial is never larger than the multiple's.  Each member reduces
+    against its own list of the others, so no memo is shared; the deadline
+    is checked once per member.
     """
     basis = [g.monic() for g in basis if not g.is_zero]
     if not basis:
@@ -255,6 +294,7 @@ def _interreduce(basis, spec):
     masks = [_support_mask(g.lm) for g in minimal]
     out = []
     for i, g in enumerate(minimal):
+        _check_deadline(deadline)
         others = minimal[:i] + minimal[i + 1 :]
         out.append(_full_reduce(g, others, spec, masks[:i] + masks[i + 1 :]).monic())
     out.sort(key=lambda e: key(e.lm))
@@ -269,12 +309,13 @@ def is_groebner_basis(elems, spec, *, deadline: float | None = None) -> bool:
     """
     elems = [e for e in elems if not e.is_zero]
     masks = [_support_mask(e.lm) for e in elems]
+    memo = {}  # one fixed reducer list, so every entry stays valid
     for i in range(len(elems)):
         for j in range(i):
             for a, b in minimal_common_multiples(elems[i].lm, elems[j].lm, spec):
                 _check_deadline(deadline)
                 s = _spair(elems[i], elems[j], a, b)
-                if not _full_reduce(s, elems, spec, masks).is_zero:
+                if not _full_reduce(s, elems, spec, masks, memo).is_zero:
                     return False
     return True
 

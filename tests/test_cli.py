@@ -435,6 +435,32 @@ class TestEmitters:
         events = [row["event"] for row in rows]
         assert events.count("insert") == 1 and events[-1] == "queue_add"
 
+    @pytest.mark.parametrize("cap", ["insertions", "seconds"])
+    def test_capped_run_emits_partial_json(self, cap, tmp_path, monkeypatch, capsys):
+        # the partial result goes out uncertified; exit code and message stay
+        from sigbasis import engine
+
+        out = tmp_path / "cut.json"
+        argv = ["run", "--builtin", "mora", "--emit-json", str(out)]
+        if cap == "insertions":
+            argv += ["--max-insertions", "1"]
+        else:
+            argv += ["--max-seconds", "60"]
+            monkeypatch.setattr(engine, "monotonic", lambda: float("inf"))
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("limit exceeded: ") and captured.err.count("\n") == 1
+        payload = json.loads(out.read_text())
+        assert payload["certified"] is False
+        assert set(payload) == {
+            "config", "basis", "syzygies", "redundant_member_ids", "stats", "certified"
+        }
+        assert payload["config"]["strategy"] == "in-order"
+        assert payload["stats"]["insertions"] == (1 if cap == "insertions" else 0)
+        # the time cap stops the run after the first input's pair search
+        assert len(payload["basis"]) == (4 if cap == "insertions" else 1)
+
     def test_json_payload_shape(self, tmp_path):
         out = tmp_path / "run.json"
         assert main(["run", "--builtin", "mora", "--emit-json", str(out)]) == 0

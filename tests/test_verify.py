@@ -119,6 +119,36 @@ class TestBuchberger:
         with pytest.raises(LimitExceeded):
             buchberger(mora_gens, mora_ctx.monoid, deadline=0.0)
 
+    def test_single_generator_expired_deadline_raises(self, monkeypatch):
+        # one generator pushes no pair: the check at the start raises
+        # before the final interreduction
+        reduced = []
+        monkeypatch.setattr(
+            verify, "_interreduce", lambda *args: reduced.append(args) or []
+        )
+        ctx, gens = katsura(6, PrimeField(32003))
+        with pytest.raises(LimitExceeded):
+            buchberger(gens[:1], ctx.monoid, deadline=0.0)
+        assert not reduced
+
+    def test_deadline_expiring_after_completion_raises(
+        self, mora_ctx, mora_gens, monkeypatch
+    ):
+        # completion finishes inside the deadline; the clock reads past it
+        # once the final interreduction starts
+        now = [0.0]
+        monkeypatch.setattr(verify, "monotonic", lambda: now[0])
+        interreduce = verify._interreduce
+
+        def late_interreduce(*args):
+            now[0] = 2.0
+            return interreduce(*args)
+
+        monkeypatch.setattr(verify, "_interreduce", late_interreduce)
+        with pytest.raises(LimitExceeded):
+            buchberger(mora_gens, mora_ctx.monoid, deadline=1.0)
+        assert now[0] == 2.0
+
     def test_closure_check_expired_deadline_raises(self, mora_ctx, mora_gens):
         gb = list(buchberger(mora_gens, mora_ctx.monoid))
         assert is_groebner_basis(gb, mora_ctx.monoid, deadline=float("inf"))
@@ -276,6 +306,77 @@ class TestFullReduce:
         r = verify._full_reduce(f, reducers, ctx.monoid)
         assert r == plain_full_reduce(f, reducers, ctx.monoid)
         assert r.lm == mono(ctx, 0, 1, 2)  # x^2*y stays; x^3*y = x^2 * x*y does not
+
+
+    @pytest.mark.parametrize("setting", ["q", "gf", "degmin2", "pot2"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_memo_valid_as_reducers_grow(self, setting, seed):
+        # one memo across a reducer list that only grows by append, as in
+        # completion; a zero reducer sits somewhere in the list
+        ctx = _reduce_context(setting)
+        spec = ctx.monoid
+        rng = random.Random(100 + seed)
+        fs = [_random_element(rng, ctx, rng.randint(5, 12), 5) for _ in range(4)]
+        zero_at = rng.randrange(6)
+        reducers, masks, memo = [], [], {}
+        for i in range(6):
+            if i == zero_at:
+                g = Element.zero(ctx)
+            else:
+                g = _random_element(rng, ctx, rng.randint(1, 4), 2)
+            reducers.append(g)
+            masks.append(verify._support_mask(g.lm))
+            for f in fs:
+                expected = render_element(plain_full_reduce(f, reducers, spec))
+                r = verify._full_reduce(f, reducers, spec, masks, memo)
+                assert render_element(r) == expected
+
+    def test_many_contributions_give_canonical_residue(self):
+        # each of the nine degree-3 terms above z^3 is reduced by a reducer
+        # with tail 31000*z^3, so z^3 takes nine products of two large
+        # residues before it is popped
+        ctx = _reduce_context("gf")
+        p = ctx.field.p
+        tops = [
+            mono(ctx, a, b, 3 - a - b)
+            for a in range(4)
+            for b in range(4 - a)
+            if (a, b) != (3, 0)
+        ]
+        z3 = mono(ctx, 3, 0, 0)
+        reducers = [Element.from_terms(ctx, [(m, 1), (z3, 31000)]) for m in tops]
+        f = Element.from_terms(ctx, [(m, 31999) for m in tops])
+        r = verify._full_reduce(f, reducers, ctx.monoid)
+        assert r == plain_full_reduce(f, reducers, ctx.monoid)
+        assert r.terms == ((ctx.order.key(z3), z3, (-9 * 31999 * 31000) % p),)
+
+
+class TestOneDivisorLookup:
+    """Completion tests each (term, member) pair for division at most once."""
+
+    def test_no_pair_tested_twice_on_katsura6_gf(self, monkeypatch):
+        tests = []
+        completing = [True]
+        real_quotient = verify.quotient_exps
+        real_interreduce = verify._interreduce
+
+        def counted(m_exps, n_exps, spec):
+            if completing:
+                tests.append((n_exps, m_exps))
+            return real_quotient(m_exps, n_exps, spec)
+
+        def interreduce(*args):
+            completing.clear()
+            return real_interreduce(*args)
+
+        monkeypatch.setattr(verify, "quotient_exps", counted)
+        monkeypatch.setattr(verify, "_interreduce", interreduce)
+        ctx, gens = katsura(6, PrimeField(32003))
+        gb = buchberger(gens, ctx.monoid)
+        assert len(gb) == 22
+        # members have distinct leading monomials and a ring monomial is its
+        # exponents, so a pair names one (order key, member index) pair
+        assert tests and len(set(tests)) == len(tests)
 
 
 class TestLmIdealEqual:
