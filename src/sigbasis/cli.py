@@ -75,10 +75,11 @@ _VAR_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Parsed problem declaration; generators kept as canonical text.
+    """Parsed problem declaration; generators kept as written, to be read in
+    the context the spec builds (so ``field`` may still be replaced).
 
-    ``generators2`` holds the second summand for the ``sum`` initialization
-    (a separate ``gens2:`` block in the file); it is empty otherwise.
+    ``generators2`` holds a ``gens2:`` block: the second summand for the
+    ``sum`` initialization, joined to the first block by the others.
     """
 
     variables: tuple[str, ...]
@@ -172,7 +173,7 @@ def _parse_field(text: str) -> str:
 
 
 def parse_problem(text: str) -> ProblemSpec:
-    """Parse and canonicalize a problem file."""
+    """Parse a problem file; generator lines are checked, then kept as written."""
     header = {}
     gen_lines = []
     gen2_lines = []
@@ -232,28 +233,27 @@ def parse_problem(text: str) -> ProblemSpec:
     spec = ProblemSpec(names, order, fld, setting, (), sig_order, sig_init)
     ctx = spec.build_context()
 
-    def canonicalize(lines):
-        out = []
+    def validated(lines):
         for lineno, line in lines:
             try:
-                elem = parse_element(line, ctx, line=lineno)
+                parse_element(line, ctx, line=lineno)
             except StructureError as exc:
                 raise ParseError(str(exc), lineno, 1) from exc
-            out.append(render_element(elem))
-        return tuple(out)
+        return tuple(line for _, line in lines)
 
     return replace(
         spec,
-        generators=canonicalize(gen_lines),
-        generators2=canonicalize(gen2_lines),
+        generators=validated(gen_lines),
+        generators2=validated(gen2_lines),
     )
 
 
 def _build_prebasis(spec: ProblemSpec, ctx, gens, gens2, deadline: float):
+    """Only ``sum`` splits the module that both blocks generate."""
     if spec.sig_init == "shifted":
-        return make_prebasis_shifted(gens, spec.sig_order)
+        return make_prebasis_shifted(gens + gens2, spec.sig_order)
     if spec.sig_init == "unshifted":
-        return make_prebasis_unshifted(gens, spec.sig_order)
+        return make_prebasis_unshifted(gens + gens2, spec.sig_order)
     if not gens2:
         raise ParseError("sum initialization needs a 'gens2:' block")
     prebasis = make_prebasis_sum(gens, gens2, spec.sig_order)
@@ -394,8 +394,8 @@ def _run_command(args) -> int:
     gens = spec.build_generators(ctx)
     gens2 = [parse_element(t, ctx) for t in spec.generators2]
     prebasis = _build_prebasis(spec, ctx, gens, gens2, deadline)
-    # the oracle compares against the full generated submodule
-    gens = gens + gens2
+    # the oracle and the syzygy check read the module the engine ran on
+    gens = [m.part for m in prebasis.members]
 
     with contextlib.ExitStack() as stack:
         sink = None

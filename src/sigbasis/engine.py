@@ -173,20 +173,18 @@ def select_reductant_sigtree(sigma: Monomial, tree: SigTree, G: SigSet):
     sigma; return the last node's label and multiplier (the label's id is the
     node index)."""
     spec = G.monoid
-    k = 0
+    k, a = 0, None
     while True:
-        moved = False
         for c in tree.nodes[k].children:
-            if divide(tree.nodes[c].label.sig, sigma, spec) is not None:
-                k = c
-                moved = True
+            q = divide(tree.nodes[c].label.sig, sigma, spec)
+            if q is not None:
+                k, a = c, q
                 break
-        if not moved:
+        else:
             break
     if k == 0:
         raise ContractError("no root signature divides the requested signature")
-    label = tree.nodes[k].label
-    return label, divide(label.sig, sigma, spec)
+    return tree.nodes[k].label, a
 
 
 def select_reductant_f5(sigma: Monomial, G: SigSet):
@@ -419,7 +417,7 @@ def run(
             f"completed run failed its own certificate at {certificate.failures!r}"
         )
     G.certified = True
-    return RunResult(G, tree, syzygy_signatures(G), stats)
+    return partial()
 
 
 def _check_deadline(deadline):
@@ -449,11 +447,12 @@ def validate_sigtree(
 
     Checks, per node: the edge relation (signature of the child equals the
     edge multiplier applied to the parent's, with a strict leading-monomial
-    drop); irreducibility modulo the ancestors; that an older sibling's
-    signature never divides a younger sibling's (compared across distinct
-    ranks only, since batch insertions share a rank); and that ranks are
-    finite per level and increase from parent to child.  ``deadline`` is
-    checked once per node before its ancestor-irreducibility test.
+    drop); irreducibility modulo the ancestors (no nonzero ancestor part has
+    a b with b*lm(ancestor) = lm(node) and b*sig(ancestor) < sig(node));
+    that an older sibling's signature never divides a younger sibling's
+    (compared across distinct ranks only, since batch insertions share a
+    rank); and that ranks are finite per level and increase from parent to
+    child.  ``deadline`` is checked once per node before its T2 test.
     """
     spec = G.monoid
     part_key = G.ctx.order.key
@@ -481,14 +480,15 @@ def validate_sigtree(
         label = node.label
         if label.part.is_zero:
             continue
-        ancestors = [tree.nodes[a].label for a in tree.ancestors(idx)]
-        if not ancestors:
-            continue
-        anc = SigSet(G.ctx, G.sig_order, [], origin=G.origin)
-        for i, sp in enumerate(reversed(ancestors), start=1):
-            anc.add(SigPair(sp.part, sp.sig, i))
-        if find_regular_reducer(label.part.lm, label.sig, anc) is not None:
-            violations.append(f"T2: node {idx} reducible by an ancestor")
+        lm, sig_key = label.part.lm, skey(label.sig)
+        for a in tree.ancestors(idx):
+            anc = tree.nodes[a].label
+            if anc.part.is_zero:
+                continue
+            b = divide(anc.part.lm, lm, spec)
+            if b is not None and skey(anc.sig.mul(b)) < sig_key:
+                violations.append(f"T2: node {idx} reducible by an ancestor")
+                break
     for idx in range(len(tree.nodes)):
         kids = tree.nodes[idx].children
         for i, p in enumerate(kids):

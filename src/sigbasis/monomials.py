@@ -174,14 +174,6 @@ class ModuleOrder:
         object.__setattr__(self, "bits", self.base.bits + slot_bits)
         object.__setattr__(self, "lift", slot_bits if self.kind == "top" else 0)
 
-    @property
-    def width(self) -> int:
-        return self.base.width
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return self.base.variables
-
     def key(self, m: Monomial) -> int:
         if m.is_zero:
             return _KEY_ZERO

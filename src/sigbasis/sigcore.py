@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import monotonic
 
-from .algebra import Context, Element, normal_form_with_steps
+from .algebra import Context, Element, RationalField, normal_form_with_steps
 from .errors import ContractError, LimitExceeded, StructureError
-from .monomials import Monomial, ModuleOrder, ScalarOrder, divide, quotient_exps
+from .monomials import (
+    ModuleOrder, Monomial, MonoidSpec, ScalarOrder, divide, quotient_exps,
+)
 
 __all__ = [
     "SigPair",
@@ -184,9 +186,6 @@ def make_prebasis_sum(gens_a, gens_b, sig_kind: str = "top") -> SigSet:
 def _empty_sigset(sig_kind: str) -> SigSet:
     # Rank and context are unknowable without generators; a width-0 ring
     # context keeps the empty sigset usable by the engine (zero iterations).
-    from .algebra import RationalField
-    from .monomials import MonoidSpec
-
     ctx = Context((), ScalarOrder("degrevlex", ()), MonoidSpec.full(), RationalField())
     return SigSet(ctx, ModuleOrder(ctx.order, sig_kind, 1), (), origin="empty")
 

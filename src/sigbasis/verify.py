@@ -16,8 +16,10 @@ found by a first-divisor scan behind its own support masks.  Each
 completion (and each closure check) keeps one memo from a term's order key
 to its first divisor, so a term is looked up once per run, not once per
 reduction that meets it: completion only appends to its basis, so a first
-divisor stays first and a miss resumes its scan where it stopped.  It
-shares no reduction kernel with the engine (``normal_form_with_steps``)
+divisor stays first and a miss resumes its scan where it stopped.  The
+final interreduction keeps one more: every member's tail reduces against
+the whole minimal list, since no member divides a term of its own tail.
+It shares no reduction kernel with the engine (``normal_form_with_steps``)
 and no reducer lookup with ``SigSet``; the tests also compare the oracle
 with sympy's Groebner bases, which share no code with this package.  Its
 products share only immutable monomials with the engine, through the
@@ -276,28 +278,29 @@ def buchberger(gens, spec, *, deadline: float | None = None) -> GroebnerBasis:
 def _interreduce(basis, spec, deadline):
     """Drop members with divisible leading monomials, then tail-reduce.
 
-    Scanning by ascending leading monomial is complete: a divisor's leading
-    monomial is never larger than the multiple's.  Each member reduces
-    against its own list of the others, so no memo is shared; the deadline
-    is checked once per member.
+    ``basis`` holds the completion's monic members, at least one.  Scanning
+    by ascending leading monomial is complete: a divisor's leading monomial
+    is never larger than the multiple's.  In an order compatible with the
+    monoid action no term below lm(g) is a multiple of lm(g), so no member
+    divides a term met in reducing its own tail: each tail reduces against
+    the whole minimal list, with one mask list and one memo.  Leading terms
+    stay, so the output keeps ascending order.  The deadline is checked
+    once per member.
     """
-    basis = [g.monic() for g in basis if not g.is_zero]
-    if not basis:
-        return []
-    key = basis[0].ctx.order.key
-    basis.sort(key=lambda e: (key(e.lm), len(e.terms)))
+    ctx = basis[0].ctx
+    key = ctx.order.key
     minimal = []
-    for g in basis:
+    for g in sorted(basis, key=lambda e: (key(e.lm), len(e.terms))):
         if any(divide(h.lm, g.lm, spec) is not None for h in minimal):
             continue
         minimal.append(g)
     masks = [_support_mask(g.lm) for g in minimal]
+    memo = {}
     out = []
-    for i, g in enumerate(minimal):
+    for g in minimal:
         _check_deadline(deadline)
-        others = minimal[:i] + minimal[i + 1 :]
-        out.append(_full_reduce(g, others, spec, masks[:i] + masks[i + 1 :]).monic())
-    out.sort(key=lambda e: key(e.lm))
+        tail = _full_reduce(Element(ctx, g.terms[1:]), minimal, spec, masks, memo)
+        out.append(Element(ctx, g.terms[:1] + tail.terms))
     return out
 
 

@@ -1,11 +1,13 @@
 """Problem parsing, flag surface, emitters, and exit codes."""
 
 import json
+import pathlib
 
 import pytest
 
 from sigbasis.cli import main, parse_problem
 from sigbasis.errors import ParseError
+from sigbasis.textio import render_element
 
 MORA_TEXT = """\
 vars: y x
@@ -81,7 +83,9 @@ class TestParseProblem:
                            "sig_init: Unshifted\ngens:\n3*x + y\n")
         assert gf.variables == ("x", "y") and gf.order == "degrevlex"
         assert (gf.field, gf.sig_order, gf.sig_init) == ("gf:7", "pot", "unshifted")
-        assert gf.generators == ("y + 3*x",)
+        # generator text stays as written; its field reads it when it is built
+        assert gf.generators == ("3*x + y",)
+        assert render_element(gf.build_generators(gf.build_context())[0]) == "y + 3*x"
 
     def test_monoid_exclusions_reach_monoid_spec(self):
         spec = parse_problem(
@@ -405,6 +409,50 @@ class TestMainExitCodes:
         assert "verify:" not in captured.out
         assert captured.err.startswith("error: degree bound 1 below max part degree")
         assert captured.err.count("\n") == 1
+
+
+PERFBENCH_INPUTS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+GF7_TEXT = "vars: y x\nfield: GF 7\ngens:\n1/2*x - y\nx^2 - 3\n"
+
+
+def emitted_basis(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert main(["run", *argv, "--strategy", "f5", "--emit-json", str(out)]) == 0
+    return json.loads(out.read_text())["basis"]
+
+
+class TestFieldFlagAndSecondBlock:
+    """``--field`` means what the file's ``field:`` line would, and a ``gens2:``
+    block joins the module of every initialization."""
+
+    def test_field_flag_on_gf_file_solves_the_builtin(self, tmp_path):
+        path = str(PERFBENCH_INPUTS / "katsura6-gf.sys")
+        assert emitted_basis(tmp_path, [path, "--field", "q"]) == emitted_basis(
+            tmp_path, ["--builtin", "katsura6"]
+        )
+
+    @pytest.mark.parametrize("field", ["q", "gf:11"])
+    def test_field_flag_reads_the_text_as_written(self, field, tmp_path):
+        gf7, q = tmp_path / "gf7.sys", tmp_path / "q.sys"
+        gf7.write_text(GF7_TEXT)
+        q.write_text(GF7_TEXT.replace("GF 7", "Q"))
+        flags = ["--field", field, "--verify"]
+        assert emitted_basis(tmp_path, [str(gf7), *flags]) == emitted_basis(
+            tmp_path, [str(q), *flags]
+        )
+
+    @pytest.mark.parametrize(
+        "sig_init, flags",
+        [("", []), ("sig_init: sum\n", ["--sig-init", "shifted"]),
+         ("sig_init: sum\n", ["--sig-init", "unshifted"])],
+        ids=["default", "sum-as-shifted", "sum-as-unshifted"],
+    )
+    def test_second_block_joins_the_module(self, sig_init, flags, tmp_path, capsys):
+        path = tmp_path / "two.sys"
+        path.write_text(f"vars: y x\n{sig_init}gens:\ny^4 - x^2\ngens2:\nx*y - 1\n")
+        assert main(["run", str(path), "--strategy", "f5", "--verify", *flags]) == 0
+        assert "oracle-lm-ideal=pass" in capsys.readouterr().out
 
 
 class TestEmitters:

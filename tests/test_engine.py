@@ -2,6 +2,7 @@
 
 import itertools
 import pathlib
+import random
 import time
 
 import pytest
@@ -576,6 +577,60 @@ class TestSigTreeValidation:
     def test_expired_deadline_raises(self, mora_run):
         with pytest.raises(LimitExceeded):
             validate_sigtree(mora_run.tree, mora_run.basis, deadline=0.0)
+
+    @staticmethod
+    def _t2_by_ancestor_sigset(tree, G):
+        """Nodes flagged by asking the engine's reducer lookup: a renumbered
+        SigSet of each node's ancestors, passed to find_regular_reducer."""
+        flagged = set()
+        for idx in range(1, len(tree.nodes)):
+            label = tree.nodes[idx].label
+            ancestors = [tree.nodes[a].label for a in tree.ancestors(idx)]
+            if label.part.is_zero or not ancestors:
+                continue
+            anc = SigSet(G.ctx, G.sig_order, [], origin=G.origin)
+            for i, sp in enumerate(reversed(ancestors), start=1):
+                anc.add(SigPair(sp.part, sp.sig, i))
+            if find_regular_reducer(label.part.lm, label.sig, anc) is not None:
+                flagged.add(idx)
+        return flagged
+
+    @pytest.mark.parametrize("sig_order", ["top", "pot"])
+    @pytest.mark.parametrize("system", ["mora", "katsura4"])
+    def test_t2_matches_ancestor_sigset_route(self, system, sig_order):
+        # the members of a completed run, re-parented: flat, one chain, and
+        # random multi-level paths; under each member hangs x*member for every
+        # variable x, whose shifted signature through that member equals its own
+        ctx, gens = builtin_problem(system)
+        res = run(make_prebasis_shifted(gens, sig_order), Strategy.f5())
+        G, one = res.basis, ctx.identity_monomial()
+        members = G.members
+        rng = random.Random(11)
+        layouts = {
+            "flat": [0] * len(members),
+            "chain": list(range(len(members))),
+            "random": [rng.randrange(i + 1) for i in range(len(members))],
+        }
+        units = [Monomial(tuple(int(j == i) for j in range(ctx.width)))
+                 for i in range(ctx.width)]
+        verdicts = set()
+        for layout, parents in layouts.items():
+            tree = SigTree()
+            for idx, (g, parent) in enumerate(zip(members, parents), start=1):
+                tree.add_node(SigPair(g.part, g.sig, idx), parent, parent and idx, one)
+            for idx, g in enumerate(members, start=1):
+                if g.part.is_zero:
+                    continue
+                for x in units:
+                    label = SigPair(g.part.mul_monomial(x), g.sig.mul(x), len(tree.nodes))
+                    tree.add_node(label, idx, len(tree.nodes), x)
+            flagged = {int(v.split()[2]) for v in validate_sigtree(tree, G)
+                       if v.startswith("T2:")}
+            assert flagged == self._t2_by_ancestor_sigset(tree, G), layout
+            if layout == "flat":
+                assert not flagged  # equal shifted signatures never reduce
+            verdicts |= {idx in flagged for idx in range(1, len(tree.nodes))}
+        assert verdicts == {True, False}
 
 
 class TestStrategyAgreement:

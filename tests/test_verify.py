@@ -352,21 +352,22 @@ class TestFullReduce:
 
 
 class TestOneDivisorLookup:
-    """Completion tests each (term, member) pair for division at most once."""
+    """Completion, and then the final interreduction, each test each
+    (term, member) pair for division at most once."""
 
     def test_no_pair_tested_twice_on_katsura6_gf(self, monkeypatch):
-        tests = []
-        completing = [True]
+        completion, interreduction = [], []
+        tests = completion
         real_quotient = verify.quotient_exps
         real_interreduce = verify._interreduce
 
         def counted(m_exps, n_exps, spec):
-            if completing:
-                tests.append((n_exps, m_exps))
+            tests.append((n_exps, m_exps))
             return real_quotient(m_exps, n_exps, spec)
 
         def interreduce(*args):
-            completing.clear()
+            nonlocal tests
+            tests = interreduction
             return real_interreduce(*args)
 
         monkeypatch.setattr(verify, "quotient_exps", counted)
@@ -376,7 +377,8 @@ class TestOneDivisorLookup:
         assert len(gb) == 22
         # members have distinct leading monomials and a ring monomial is its
         # exponents, so a pair names one (order key, member index) pair
-        assert tests and len(set(tests)) == len(tests)
+        for phase in (completion, interreduction):
+            assert phase and len(set(phase)) == len(phase)
 
 
 class TestLmIdealEqual:
