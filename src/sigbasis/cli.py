@@ -172,8 +172,12 @@ def _parse_field(text: str) -> str:
     raise ParseError(f"unknown field {text!r}")
 
 
-def parse_problem(text: str) -> ProblemSpec:
-    """Parse a problem file; generator lines are checked, then kept as written."""
+def parse_problem(text: str, field: str | None = None) -> ProblemSpec:
+    """Parse a problem file; generator lines are checked, then kept as written.
+
+    ``field``, a canonical field spec, overrides the file's ``field:`` line,
+    and the generator lines are checked in it.
+    """
     header = {}
     gen_lines = []
     gen2_lines = []
@@ -217,6 +221,8 @@ def parse_problem(text: str) -> ProblemSpec:
     if order not in ("degrevlex", "lex"):
         raise ParseError(f"unknown order {order!r}")
     fld = _parse_field(take("field", "q"))
+    if field is not None:
+        fld = field
     setting = take("setting", "ring")
     if setting.split()[:1] not in (["ring"], ["module"], ["monoid"]):
         raise ParseError(f"unknown setting {setting!r}")
@@ -327,18 +333,19 @@ def _arg_parser() -> argparse.ArgumentParser:
 def _load_problem(args) -> ProblemSpec:
     if args.builtin and args.file:
         raise ParseError("give a file or --builtin, not both")
+    field = _parse_field(args.field) if args.field else None
     if args.builtin:
         ctx, gens = builtin_problem(args.builtin)
         spec = ProblemSpec(
             ctx.variables,
             "degrevlex",
-            "q",
+            field or "q",
             "ring",
             tuple(render_element(g) for g in gens),
         )
     elif args.file:
         with open(args.file, encoding="utf-8") as fh:
-            spec = parse_problem(fh.read())
+            spec = parse_problem(fh.read(), field)
     else:
         raise ParseError("no input: give a problem file or --builtin NAME")
     overrides = {}
@@ -346,8 +353,6 @@ def _load_problem(args) -> ProblemSpec:
         overrides["sig_order"] = args.sig_order
     if args.sig_init:
         overrides["sig_init"] = args.sig_init
-    if args.field:
-        overrides["field"] = _parse_field(args.field)
     return replace(spec, **overrides) if overrides else spec
 
 

@@ -379,6 +379,14 @@ def minimal_common_multiples(m: Monomial, n: Monomial, spec: MonoidSpec):
     lists have no such bound: for <xy^2, x^4 y, x^2>, y^3 and x^4 have the
     minimal multiplier x^16, and for <y^3, y^2 z, x z^2> (exponents in
     (x, y, z)) y^3 z^3 and x^3 y z^2 have only x^3 y^12 z^6.
+
+    Without exclusions, whether a and its cofactor are members depends only
+    on total degree.  So the first degree k* above a0 with a solution admits
+    every a >= a0 of that degree; these are pairwise incomparable, every a
+    of higher degree dominates one of them, and the search stops after that
+    layer.  Minimality in M itself (ROADMAP item 1) would have to widen the
+    stop to the layers k*, ..., k* + d - 1, d the truncation or generator
+    degree: beyond them the quotient by a layer-k* solution is a member.
     """
     if m.is_zero or n.is_zero:
         raise ContractError("minimal common multiples need nonzero monomials")
@@ -409,6 +417,7 @@ def _truncated_search_bound(m, n, a0, spec) -> int:
 def _collect_mcm(m, n, a0, spec, extra_degree):
     found = []
     for k in range(extra_degree + 1):
+        layer = []
         for t in _vectors_of_degree(len(a0), k):
             a = tuple(x + y for x, y in zip(a0, t))
             if not spec.member(a):
@@ -418,6 +427,9 @@ def _collect_mcm(m, n, a0, spec, extra_degree):
                 continue
             if any(all(x <= y for x, y in zip(prev.exps, a)) for prev, _ in found):
                 continue
-            found.append((Monomial(a), Monomial(cof)))
+            layer.append((Monomial(a), Monomial(cof)))
+        found += layer
+        if layer and not spec.exclusions:
+            break
     return found
 

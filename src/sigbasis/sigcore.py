@@ -54,6 +54,9 @@ class SigSet:
     signature's key, so the reducer lookup shifts keys by arithmetic.
     ``owned`` holds the critical signatures owned by each member of the
     prefix whose pairs are searched; only ``critical`` uses it.
+    ``_lowest`` is the reducer lookup's memo: per target key, how many
+    nonzero parts were scanned and the smallest (shifted signature key, id)
+    divisor among them; only ``find_regular_reducer`` uses it.
     """
 
     def __init__(self, ctx: Context, sig_order: ModuleOrder, members=(), origin="adhoc"):
@@ -68,6 +71,8 @@ class SigSet:
         self._sigs: list[tuple[int, SigPair]] = []
         self._reducers: list[tuple[int, Monomial, int, int, SigPair]] = []
         self.owned: list[set[Monomial]] = []
+        # target key -> (parts scanned, lowest shifted key or None, its member)
+        self._lowest: dict[int, tuple[int, int | None, SigPair | None]] = {}
         for m in members:
             self.add(m)
 
@@ -210,6 +215,12 @@ def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, fresh=
     signature key is its signature key plus the shift key(target) - key(lm)
     lifted into the signature order.
 
+    That shifted key does not depend on ``sigma``, so the lowest (key, id)
+    divisor of a target is found once and kept in G's memo; since G only
+    appends, a later lookup of the same target scans just the parts added
+    since, and the answer is the lowest divisor when it lies below
+    ``sigma``.
+
     ``fresh`` holds sigpairs not in G whose ids exceed every member's (a
     batch's earlier results).  One is admitted only unshifted: its part's
     leading monomial must equal ``target_lm``.  ``_sigma_key`` and
@@ -219,25 +230,30 @@ def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, fresh=
     if target_lm.is_zero:
         raise ContractError("no reducer for the zero monomial")
     skey = G.sig_order.key
-    best_key = _sigma_key if _sigma_key is not None else skey(sigma)
-    exps, indices = target_lm.exps, target_lm.indices
     target_key = _target_key if _target_key is not None else G.ctx.order.key(target_lm)
-    target_mask = _support_mask(exps)
-    lift = G.sig_order.lift
-    spec = G.ctx.monoid
-    best = None
-    for mask, lm, lm_key, sig_key, g in G._reducers:
-        if mask & ~target_mask:
-            continue
-        k = sig_key + ((target_key - lm_key) << lift)
-        # a candidate must beat sigma, then the best (key, id) so far; the key
-        # is only meaningful for a divisor, which is checked last
-        if k > best_key or k == best_key and (best is None or g.id >= best.id):
-            continue
-        if lm.indices != indices:
-            continue
-        if quotient_exps(lm.exps, exps, spec) is not None:
-            best_key, best = k, g
+    reducers = G._reducers
+    scanned, best_key, best = G._lowest.get(target_key, (0, None, None))
+    if scanned < len(reducers):
+        exps, indices = target_lm.exps, target_lm.indices
+        target_mask = _support_mask(exps)
+        lift = G.sig_order.lift
+        spec = G.ctx.monoid
+        for mask, lm, lm_key, sig_key, g in reducers[scanned:]:
+            if mask & ~target_mask:
+                continue
+            k = sig_key + ((target_key - lm_key) << lift)
+            # a candidate must beat the lowest (key, id) so far; the key is
+            # only meaningful for a divisor, which is checked last
+            if best is not None and (k > best_key or k == best_key and g.id >= best.id):
+                continue
+            if lm.indices != indices:
+                continue
+            if quotient_exps(lm.exps, exps, spec) is not None:
+                best_key, best = k, g
+        G._lowest[target_key] = (len(reducers), best_key, best)
+    sigma_key = _sigma_key if _sigma_key is not None else skey(sigma)
+    if best is None or best_key >= sigma_key:
+        best_key, best = sigma_key, None
     # a fresh id exceeds the best's, so on the (key, id) order only a
     # strictly smaller key wins
     for h in fresh:

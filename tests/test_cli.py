@@ -442,6 +442,27 @@ class TestFieldFlagAndSecondBlock:
             tmp_path, [str(q), *flags]
         )
 
+    def test_field_flag_rescues_text_invalid_in_the_file_field(self, tmp_path, capsys):
+        # 1/7 has no value in GF(7), but the file is read in the field of --field
+        text = "vars: y x\nfield: GF 7\ngens:\n1/7*x - y\nx^2 - 3\n"
+        gf7, q = tmp_path / "gf7.sys", tmp_path / "q.sys"
+        gf7.write_text(text)
+        q.write_text(text.replace("GF 7", "Q"))
+        flags = ["--field", "q", "--verify"]
+        outputs = []
+        for path in (gf7, q):
+            outputs.append(emitted_basis(tmp_path, [str(path), *flags]))
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
+        assert "oracle-lm-ideal=pass" in outputs[1].out
+
+    def test_field_flag_checks_the_text_in_its_own_field(self, tmp_path, capsys):
+        path = tmp_path / "q.sys"
+        path.write_text("vars: y x\nfield: Q\ngens:\nx^2 - 3\n1/7*x - y\n")
+        assert main(["run", str(path), "--field", "gf:7"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 5, col 1:") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "sig_init, flags",
         [("", []), ("sig_init: sum\n", ["--sig-init", "shifted"]),

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sigbasis import monomials
 from sigbasis.errors import StructureError
 from sigbasis.monomials import (
     Monomial,
@@ -362,6 +363,25 @@ class TestMinimalCommonMultiples:
             bwd = minimal_common_multiples(rhs, lhs, A)
             assert set(fwd) == {(b, a) for a, b in bwd}, (lhs, rhs)
 
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "kind", ["degmin2", "degmin2-excl", "degmin3", "degmin3-excl", "generated2",
+                 "generated3"]
+    )
+    def test_layer_stop_matches_exhaustive_search(self, kind, width):
+        # Without exclusions the search stops after its first degree with a
+        # solution; it must return what the whole search box returns.
+        A = _orientation_spec(kind, width)
+        rng = random.Random(2026 + width)
+        found = 0
+        for _ in range(40):
+            lhs = Monomial(tuple(rng.randint(0, 4) for _ in range(width)))
+            rhs = Monomial(tuple(rng.randint(0, 4) for _ in range(width)))
+            res = minimal_common_multiples(lhs, rhs, A)
+            assert res == _exhaustive_mcm(lhs, rhs, A), (lhs, rhs)
+            found += bool(res)
+        assert found
+
     def test_output_pairwise_incomparable_and_covering(self):
         # Every solution in a bounded enumeration sits above some output.
         A = MonoidSpec.degree_truncated(2)
@@ -382,6 +402,29 @@ class TestMinimalCommonMultiples:
                 if any(e < 0 for e in cof) or not A.member(cof):
                     continue
                 assert any(divides_exponentwise(a, cand) for a in outs)
+
+
+def _exhaustive_mcm(lhs, rhs, spec):
+    """Every degree of ``minimal_common_multiples``' search box, with no
+    stop after the first degree that has a solution."""
+    a0 = tuple(max(x, y) - x for x, y in zip(lhs.exps, rhs.exps))
+    if spec.kind == "degree_truncated":
+        extra = monomials._truncated_search_bound(lhs, rhs, a0, spec) - sum(a0)
+    else:
+        extra = spec.generator_degree - 1
+    found = []
+    for k in range(extra + 1):
+        for t in monomials._vectors_of_degree(len(a0), k):
+            a = tuple(x + y for x, y in zip(a0, t))
+            if not spec.member(a):
+                continue
+            cof = tuple(x + y - z for x, y, z in zip(a, lhs.exps, rhs.exps))
+            if not spec.member(cof):
+                continue
+            if any(all(x <= y for x, y in zip(prev.exps, a)) for prev, _ in found):
+                continue
+            found.append((Monomial(a), Monomial(cof)))
+    return tuple(found)
 
 
 def _vectors(width, degree):
@@ -413,8 +456,8 @@ def _closure(gens, width, top):
 def _orientation_spec(kind, width):
     if kind == "full":
         return FULL
-    if kind == "generated2":
-        return MonoidSpec.generated(list(_vectors(width, 2)))
+    if kind.startswith("generated"):
+        return MonoidSpec.generated(list(_vectors(width, int(kind[-1]))))
     d = int(kind[len("degmin")])
     excl = ()
     if kind.endswith("-excl"):

@@ -1,6 +1,7 @@
 """Sigpairs, prebases, regular reduction, domination, classification."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -268,21 +269,25 @@ _QUADRATICS = [
 ]
 
 
-class TestMaskedReducerLookup:
-    """find_regular_reducer skips members by support mask; it must choose
-    exactly what a plain divide over every member chooses, also when the
-    newer members are handed over as ``fresh`` rows of a batch."""
+_BUILDS = pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _katsura4_basis(MonoidSpec.full(), Strategy.f5()),
+        lambda: _katsura4_basis(MonoidSpec.degree_truncated(2), Strategy.f5()),
+        lambda: _katsura4_basis(MonoidSpec.generated(_QUADRATICS), Strategy.min_lm()),
+        _module_basis,
+    ],
+    ids=["full", "degree_truncated", "generated", "module"],
+)
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: _katsura4_basis(MonoidSpec.full(), Strategy.f5()),
-            lambda: _katsura4_basis(MonoidSpec.degree_truncated(2), Strategy.f5()),
-            lambda: _katsura4_basis(MonoidSpec.generated(_QUADRATICS), Strategy.min_lm()),
-            _module_basis,
-        ],
-        ids=["full", "degree_truncated", "generated", "module"],
-    )
+
+class TestMaskedReducerLookup:
+    """find_regular_reducer skips members by support mask and keeps each
+    target's lowest divisor in a memo; it must choose exactly what a plain
+    divide over every member chooses, also when the newer members are
+    handed over as ``fresh`` rows of a batch."""
+
+    @_BUILDS
     def test_matches_naive_scan(self, build):
         G = build()
         parts = [g for g in G.members if not g.part.is_zero]
@@ -314,6 +319,74 @@ class TestMaskedReducerLookup:
                 fresh_hits += expected is not None and expected.id >= fresh[0].id
         assert 0 < hits < 400
         assert fresh_hits > 0
+
+    @_BUILDS
+    def test_memo_exact_as_basis_grows(self, build):
+        G = build()
+        spec, width = G.monoid, G.ctx.width
+        parts = [g for g in G.members if not g.part.is_zero]
+        rng = random.Random(2026)
+        # twins copy a member's part and signature, so they tie with it on
+        # every shifted key: one arrives with a larger id, one with a smaller
+        top = G.members[-1].id
+        early, late = parts[len(parts) // 3], parts[2 * len(parts) // 3]
+        targets = [early.part.lm, late.part.lm] + [
+            rng.choice(parts).part.lm.mul(
+                Monomial(tuple(rng.randrange(3) for _ in range(width)))
+            )
+            for _ in range(12)
+        ]
+        twins = {early.id: SigPair(early.part, early.sig, top + 1),
+                 late.id: SigPair(late.part, late.sig, 0)}
+        grown = SigSet(G.ctx, G.sig_order)
+        x = Monomial((1,) + (0,) * (width - 1))
+        hits = strict = ties = 0
+        for g in G.members:
+            grown.add(g)
+            if g.id in twins:
+                grown.add(twins[g.id])
+            for target in targets:
+                divisors = [
+                    h.sig.mul(b)
+                    for h in grown.members
+                    if not h.part.is_zero
+                    and (b := divide(h.part.lm, target, spec)) is not None
+                ]
+                # the lowest divisor's own shifted signature admits nothing
+                # strictly below it from that divisor; one degree up admits it
+                sigmas = [rng.choice(grown.members).sig.mul(x)]
+                if divisors:
+                    lowest = min(divisors, key=G.sig_order.key)
+                    sigmas += [lowest, lowest.mul(x), rng.choice(divisors)]
+                for sigma in sigmas:
+                    expected = _naive_reducer(target, sigma, grown)
+                    assert find_regular_reducer(target, sigma, grown) == expected
+                    hits += expected is not None
+                if divisors:
+                    strict += _naive_reducer(target, lowest, grown) is None
+                    found = find_regular_reducer(target, lowest.mul(x), grown)
+                    ties += found is not None and found.id in (0, early.id)
+        assert hits and strict and ties
+
+    def test_no_pair_tested_twice_on_katsura6_gf(self, monkeypatch):
+        from sigbasis import sigcore
+
+        tests = []
+        real_quotient = sigcore.quotient_exps
+
+        def counted(m_exps, n_exps, spec):
+            tests.append((n_exps, m_exps))
+            return real_quotient(m_exps, n_exps, spec)
+
+        monkeypatch.setattr(sigcore, "quotient_exps", counted)
+        ctx, gens = katsura(6, PrimeField(32003))
+        G = run(make_prebasis_shifted(gens, "top"), Strategy.f5()).basis
+        # a ring target is its exponents; members may share a leading
+        # monomial, so a (target, lm) pair is tested at most once per member
+        # that has it
+        per_lm = Counter(g.part.lm.exps for g in G.members if not g.part.is_zero)
+        counts = Counter(tests)
+        assert tests and all(n <= per_lm[lm] for (_, lm), n in counts.items())
 
 
 class TestProductTable:
