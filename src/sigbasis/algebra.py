@@ -418,18 +418,20 @@ def _first_reducible(terms, admit, full):
 def _modular_normal_form(f: Element, admit, full) -> tuple[Element, int]:
     """Reduction over GF(p) on one keyed accumulator.
 
-    f below the term being reduced is a dict from order key to residue,
+    f below the term being reduced is a dict from order key to coefficient,
     with a dict from key to monomial and a min-heap of negated keys (Yan's
     geobuckets, JSC 1998; the heaps of Monagan & Pearce's sparse division).
     A step drops the reduced term and adds -lam * c at each reducer term's
     shifted key; only a key new to the dict takes a monomial and a heap
-    entry.  A key that cancels stays in the dict as 0 until it is popped, so
-    a later step can add to it again.  Keys are popped in descending order
-    and the first nonzero one is the next term to reduce.  An irreducible
-    term is final, since every later step lands strictly below it: full
-    reduction emits each in pop order, so its result needs no sort, and top
-    reduction stops at the first and emits the rest of the dict once,
-    sorted by key.  Terms of f that no reducer touches are never copied.
+    entry.  The dict adds with plain operators, and a value is reduced mod p
+    once, when its key is popped: a key that cancels stays in the dict until
+    then, so a later step can add to it again.  Keys are popped in
+    descending order and the first nonzero residue is the next term to
+    reduce.  An irreducible term is final, since every later step lands
+    strictly below it: full reduction emits each in pop order, so its result
+    needs no sort, and top reduction stops at the first and emits the rest
+    of the dict once, sorted by key, as canonical nonzero residues.  Terms of
+    f that no reducer touches are never copied.
     """
     first = _first_reducible(f.terms, admit, full)
     if first is None:
@@ -455,18 +457,18 @@ def _modular_normal_form(f: Element, admit, full) -> tuple[Element, int]:
             k += d
             x = coeffs.get(k)
             if x is None:
-                coeffs[k] = -lam * c % p
+                coeffs[k] = -lam * c
                 if d:
                     m = products.get(k) or _product(b, m, k, products, key)
                 monos[k] = m
                 heappush(heap, -k)
             else:
-                coeffs[k] = (x - lam * c) % p
+                coeffs[k] = x - lam * c
         steps += 1
         while True:
             while heap:
                 lead = -heappop(heap)
-                lc = coeffs.pop(lead)
+                lc = coeffs.pop(lead) % p
                 if lc:
                     break
             else:
@@ -477,8 +479,8 @@ def _modular_normal_form(f: Element, admit, full) -> tuple[Element, int]:
                 break
             out.append((lead, lm, lc))
             if not full:
-                keys = sorted((k for k, c in coeffs.items() if c), reverse=True)
-                out.extend((k, monos[k], coeffs[k]) for k in keys)
+                keys = sorted((k for k, c in coeffs.items() if c % p), reverse=True)
+                out.extend((k, monos[k], coeffs[k] % p) for k in keys)
                 return Element(f.ctx, tuple(out)), steps
 
 

@@ -2,10 +2,12 @@
 
 A critical signature belongs to an unordered pair of sigpairs: for a minimal
 common multiple a*lm(f) = b*lm(g), it is the larger of a*sig(f) and b*sig(g),
-owned by that side's member.  Each pair of a ``SigSet`` is searched once,
-into its record ``G.owned``: ``queue_update`` feeds the queue from the new
-pairs, and ``critical_set`` reads the record.  The queue holds pending
-signatures, optionally pruned so that no member properly divides another.
+owned by that side's member.  Keys are additive, so one comparison of sig/lm
+ratios (``sig_lm_ratio``) settles the side for every common multiple of a
+pair.  Each pair of nonzero parts of a ``SigSet`` is searched once, into its
+record ``G.owned``: ``queue_update`` feeds the queue from the new pairs, and
+``critical_set`` reads the record.  The queue holds pending signatures,
+optionally pruned so that no member properly divides another.
 """
 
 from __future__ import annotations
@@ -29,27 +31,32 @@ __all__ = [
 ]
 
 
+def sig_lm_ratio(g: SigPair, sig_order) -> int:
+    """r(g) = key(sig g) - (key(lm g) << lift), for a nonzero part: keys are
+    additive, so a*lm(f) = b*lm(g) gives key(a*sig f) - key(b*sig g) = r(f) -
+    r(g) (Roune & Stillman, ISSAC 2012)."""
+    return sig_order.key(g.sig) - (g.part.terms[0][0] << sig_order.lift)
+
+
 def critical_pair_signatures(f: SigPair, g: SigPair, spec, sig_order):
     """The critical signatures of the pair {f, g}, as ``(on_f, on_g)``.
 
     For each minimal common multiple a*lm(f) = b*lm(g), a*sig(f) goes to
     ``on_f`` when b*sig(g) is strictly smaller, and b*sig(g) to ``on_g`` when
-    a*sig(f) is; a tie gives nothing.  Each side ascends by signature key;
-    swapping f and g swaps the sides (a - a' = b - b').
+    a*sig(f) is; a tie gives nothing.  The larger sig/lm ratio decides the
+    side for every multiple at once, so equal ratios return before any
+    common multiple is searched, and only the owner's signatures are built.
+    Each side ascends by signature key; swapping f and g swaps the sides.
     """
     if f.part.is_zero or g.part.is_zero:
         return (), ()
-    key = sig_order.key
-    on_f, on_g = set(), set()
-    for a, b in minimal_common_multiples(f.part.lm, g.part.lm, spec):
-        sa = f.sig.mul(a)
-        sb = g.sig.mul(b)
-        ka, kb = key(sa), key(sb)
-        if kb < ka:
-            on_f.add(sa)
-        elif ka < kb:
-            on_g.add(sb)
-    return tuple(sorted(on_f, key=key)), tuple(sorted(on_g, key=key))
+    rf, rg = sig_lm_ratio(f, sig_order), sig_lm_ratio(g, sig_order)
+    if rf == rg:
+        return (), ()
+    mcm = minimal_common_multiples(f.part.lm, g.part.lm, spec)
+    if rf > rg:
+        return tuple(sorted((f.sig.mul(a) for a, _ in mcm), key=sig_order.key)), ()
+    return (), tuple(sorted((g.sig.mul(b) for _, b in mcm), key=sig_order.key))
 
 
 def _undivided(ascending, divides):
@@ -69,19 +76,24 @@ def _undivided(ascending, divides):
 
 def _search_new_pairs(G: SigSet):
     """Search each pair {g, h} of a member g that ``G.owned`` does not cover
-    yet and an earlier member h, once per ``SigSet`` (G is append-only), add
-    each side to its owner's set, and return ``(g, h, on_g, on_h)`` in
-    search order."""
+    yet and an earlier member h, both with nonzero parts, once per
+    ``SigSet`` (G is append-only), add each side to its owner's set, and
+    return ``(g, h, on_g, on_h)`` in search order.  A zero-part member gets
+    its empty set too, so ``owned`` stays aligned with ``members``."""
     spec, order, members, owned = G.monoid, G.sig_order, G.members, G.owned
+    earlier = [(h, h_owned) for h, h_owned in zip(members, owned) if not h.part.is_zero]
     pairs = []
-    for j in range(len(owned), len(members)):
-        g, g_owned = members[j], set()
-        for h, h_owned in zip(members[:j], owned):
+    for g in members[len(owned):]:
+        g_owned = set()
+        owned.append(g_owned)
+        if g.part.is_zero:
+            continue
+        for h, h_owned in earlier:
             on_g, on_h = critical_pair_signatures(g, h, spec, order)
             g_owned.update(on_g)
             h_owned.update(on_h)
             pairs.append((g, h, on_g, on_h))
-        owned.append(g_owned)
+        earlier.append((g, g_owned))
     return pairs
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from time import monotonic
 
 from .algebra import Element
-from .critical import CriticalQueue, critical_set, queue_update
+from .critical import CriticalQueue, critical_set, queue_update, sig_lm_ratio
 from .errors import CertificateError, ContractError, LimitExceeded, SigbasisError
 from .monomials import Monomial, ScalarOrder, divide
 from .sigcore import (
@@ -229,20 +229,19 @@ def _koszul_multiple(sigma: Monomial, G: SigSet) -> bool:
     """sigma is a multiple of the leading signature of a principal syzygy
     part(h)*u_g - part(g)*u_h between two nonzero members of G.
 
-    That signature is lm(h)*sig(g) when it exceeds lm(g)*sig(h) (keys are
-    unique, so they never tie), and lm(h)*sig(g) divides sigma iff sig(g)
-    does with a quotient that lm(h) divides.  Every multiple of one is a
-    syzygy signature, where the regular normal form is zero once G is
-    complete below it.  The syzygy needs every part monomial as a
-    multiplier: full monoid, index-free parts.
+    That signature is lm(h)*sig(g) when it exceeds lm(g)*sig(h), that is
+    when g's sig/lm ratio exceeds h's (``sig_lm_ratio``), and lm(h)*sig(g)
+    divides sigma iff sig(g) does with a quotient that lm(h) divides.  Every
+    multiple of one is a syzygy signature, where the regular normal form is
+    zero once G is complete below it.  The syzygy needs every part monomial
+    as a multiplier: full monoid, index-free parts.
     """
-    key = G.sig_order.key
+    order = G.sig_order
     for g, a in G.realizations(sigma):
         if g.part.is_zero:
             continue
-        glm = g.part.lm
         for h, _ in G.divisors_of(a):
-            if key(g.sig.mul(h.part.lm)) > key(h.sig.mul(glm)):
+            if sig_lm_ratio(g, order) > sig_lm_ratio(h, order):
                 return True
     return False
 

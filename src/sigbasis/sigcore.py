@@ -51,7 +51,9 @@ class SigSet:
     ``certified`` is set by the engine once the combinatorial rewrite-basis
     certificate has passed; classification requires it.  Each nonzero part
     is kept with its support mask, its leading monomial's key and its
-    signature's key, so the reducer lookup shifts keys by arithmetic.
+    signature's key, so the reducer lookup shifts keys by arithmetic.  Each
+    signature is kept with its support mask under its position tuple
+    (``sig.indices``): a signature divides only those of its own slot.
     ``owned`` holds the critical signatures owned by each member of the
     prefix whose pairs are searched; only ``critical`` uses it.
     ``_lowest`` is the reducer lookup's memo: per target key, how many
@@ -66,9 +68,9 @@ class SigSet:
         self.origin = origin
         self.certified = False
         self._ids = set()
-        # (support mask, member) of every signature; (support mask, lm, lm key,
-        # signature key, member) of every nonzero part
-        self._sigs: list[tuple[int, SigPair]] = []
+        # signature slot -> (support mask, member) of its signatures; (support
+        # mask, lm, lm key, signature key, member) of every nonzero part
+        self._sigs: dict[tuple[int, ...], list[tuple[int, SigPair]]] = {}
         self._reducers: list[tuple[int, Monomial, int, int, SigPair]] = []
         self.owned: list[set[Monomial]] = []
         # target key -> (parts scanned, lowest shifted key or None, its member)
@@ -85,7 +87,8 @@ class SigSet:
             raise StructureError(f"duplicate sigpair id {sp.id}")
         self._ids.add(sp.id)
         self.members.append(sp)
-        self._sigs.append((_support_mask(sp.sig.exps), sp))
+        slot = self._sigs.setdefault(sp.sig.indices, [])
+        slot.append((_support_mask(sp.sig.exps), sp))
         if sp.part.terms:
             key, lm, _ = sp.part.terms[0]
             self._reducers.append(
@@ -94,10 +97,12 @@ class SigSet:
 
     def realizations(self, sigma: Monomial, newest_first=True):
         """Yield ``(member, a)`` with ``a * sig(member) == sigma``, newest
-        first, or oldest first when ``newest_first`` is false."""
+        first, or oldest first when ``newest_first`` is false; only the
+        members of sigma's slot are tried."""
         spec = self.ctx.monoid
         sigma_mask = _support_mask(sigma.exps)
-        for mask, g in reversed(self._sigs) if newest_first else self._sigs:
+        slot = self._sigs.get(sigma.indices, ())
+        for mask, g in reversed(slot) if newest_first else slot:
             if mask & ~sigma_mask:
                 continue
             a = divide(g.sig, sigma, spec)

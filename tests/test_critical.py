@@ -13,6 +13,7 @@ from sigbasis.critical import (
     critical_pair_signatures,
     critical_set,
     queue_update,
+    sig_lm_ratio,
 )
 from sigbasis.engine import Strategy, run
 from sigbasis.errors import CertificateError, ContractError
@@ -23,8 +24,15 @@ from sigbasis.monomials import (
     ScalarOrder,
     divide,
     divides_exponentwise,
+    minimal_common_multiples,
 )
-from sigbasis.sigcore import SigPair, SigSet, make_prebasis_shifted
+from sigbasis.sigcore import (
+    SigPair,
+    SigSet,
+    make_prebasis_shifted,
+    make_prebasis_sum,
+    make_prebasis_unshifted,
+)
 from sigbasis.systems import builtin_problem
 from sigbasis.textio import parse_element, render_element
 
@@ -242,8 +250,9 @@ class TestInvariants:
 
 
 class TestOnePairSearch:
-    """A run searches each unordered pair of its final members once: the
-    queue, the debug invariant and the closing certificate share one
+    """A run searches each unordered pair of its final members with nonzero
+    parts once, and no pair with a zero-part member, which owns nothing:
+    the queue, the debug invariant and the closing certificate share one
     owned record."""
 
     @pytest.mark.parametrize("stride", [0, 1])
@@ -256,16 +265,18 @@ class TestOnePairSearch:
         real = critical.critical_pair_signatures
 
         def counted(f, g, spec, sig_order):
-            calls.append((f.id, g.id))
+            calls.append((f, g))
             return real(f, g, spec, sig_order)
 
         monkeypatch.setattr(critical, "critical_pair_signatures", counted)
         _, gens = builtin_problem("katsura4")
         res = run(make_prebasis_shifted(gens, "top"), strategy,
                   debug_invariant_stride=stride)
-        n = len(res.basis.members)
-        assert len(calls) == n * (n - 1) // 2
-        assert len({frozenset(pair) for pair in calls}) == len(calls)
+        k = sum(not g.part.is_zero for g in res.basis.members)
+        assert k < len(res.basis.members)
+        assert len(calls) == k * (k - 1) // 2
+        assert not any(f.part.is_zero or g.part.is_zero for f, g in calls)
+        assert len({frozenset((f.id, g.id)) for f, g in calls}) == len(calls)
 
 
 class TestCertificateIndependence:
@@ -295,15 +306,21 @@ def _all_pairs_minimal(sigs, divides):
     return {s for s in sigs if not any(t != s and divides(t, s) for t in sigs)}
 
 
-def _restricted_set(system, monoid, sig_order, strategy):
+def _restricted_set(system, monoid, sig_order, strategy, make=make_prebasis_shifted):
     ctx, gens = builtin_problem(system)
     ctx = Context(ctx.variables, ctx.order, monoid, PrimeField(32003))
     gens = [parse_element(render_element(g), ctx) for g in gens]
-    return run(make_prebasis_shifted(gens, sig_order), strategy).basis
+    return run(make(gens, sig_order), strategy).basis
 
 
-def _module_set(sig_order):
-    order = ModuleOrder(ScalarOrder("degrevlex", ("y", "x")), "pot", 2)
+def _sum_set(sig_order):
+    # {g1} and {g2, g3} of mora are each Groebner bases
+    _, gens = builtin_problem("mora")
+    return run(make_prebasis_sum(gens[:1], gens[1:], sig_order), Strategy.f5()).basis
+
+
+def _module_set(sig_order, part_kind="pot"):
+    order = ModuleOrder(ScalarOrder("degrevlex", ("y", "x")), part_kind, 2)
     ctx = Context(("y", "x"), order, MonoidSpec.full(), PrimeField(32003))
     gens = [
         parse_element(text, ctx)
@@ -329,11 +346,20 @@ _SCAN_CASES = {
     ),
     "module": _module_set,
 }
+# the scan cases and the other module part order and prebases
+_GROWN_CASES = {
+    **_SCAN_CASES,
+    "module-top": lambda o: _module_set(o, "top"),
+    "unshifted": lambda o: _restricted_set(
+        "katsura4", MonoidSpec.full(), o, Strategy.f5(), make_prebasis_unshifted
+    ),
+    "sum": _sum_set,
+}
 
 
 @functools.cache
 def _scan_set(case, sig_order):
-    return _SCAN_CASES[case](sig_order)
+    return _GROWN_CASES[case](sig_order)
 
 
 class TestMinimalityScan:
@@ -415,6 +441,79 @@ class TestMinimalityScan:
             for _ in range(min(rng.randint(0, 2), len(Q))):
                 Q.pop_min()
         assert pruned_total > 0
+
+
+def _two_sided_pair_signatures(f, g, spec, sig_order):
+    """Reference pair search: both sides of every minimal common multiple
+    are built, and the strictly larger one is kept."""
+    if f.part.is_zero or g.part.is_zero:
+        return (), ()
+    key = sig_order.key
+    on_f, on_g = set(), set()
+    for a, b in minimal_common_multiples(f.part.lm, g.part.lm, spec):
+        sa = f.sig.mul(a)
+        sb = g.sig.mul(b)
+        ka, kb = key(sa), key(sb)
+        if kb < ka:
+            on_f.add(sa)
+        elif ka < kb:
+            on_g.add(sb)
+    return tuple(sorted(on_f, key=key)), tuple(sorted(on_g, key=key))
+
+
+class TestRatioOwnership:
+    """`critical_pair_signatures` settles a pair's owner by one sig/lm
+    ratio comparison; it must return what building and comparing both
+    sides of every common multiple returns."""
+
+    @pytest.mark.parametrize("sig_order", ["top", "pot"])
+    @pytest.mark.parametrize("case", sorted(_GROWN_CASES))
+    def test_matches_two_sided_search(self, case, sig_order):
+        G = _scan_set(case, sig_order)
+        spec, order = G.monoid, G.sig_order
+        assert any(g.part.is_zero for g in G.members)
+        owned = 0
+        for f in G.members:
+            for g in G.members:
+                out = critical_pair_signatures(f, g, spec, order)
+                assert out == _two_sided_pair_signatures(f, g, spec, order)
+                owned += bool(out[0])
+        assert owned
+
+    def test_grown_bases_have_tie_pairs(self):
+        # pairs with common multiples whose two sides are equal: the ratio
+        # rule's early return is reached on a grown basis, not only below
+        G = _scan_set("degree_truncated", "top")
+        spec, order = G.monoid, G.sig_order
+        parts = [g for g in G.members if not g.part.is_zero]
+        ties = [
+            (f, g) for i, f in enumerate(parts) for g in parts[:i]
+            if sig_lm_ratio(f, order) == sig_lm_ratio(g, order)
+        ]
+        assert ties
+        for f, g in ties:
+            assert minimal_common_multiples(f.part.lm, g.part.lm, spec)
+            assert _two_sided_pair_signatures(f, g, spec, order) == ((), ())
+
+    def test_tie_pair_makes_no_search(self, mora_prebasis, mora_ctx, monkeypatch):
+        searched = []
+        real = critical.minimal_common_multiples
+
+        def counted(m, n, spec):
+            searched.append((m, n))
+            return real(m, n, spec)
+
+        monkeypatch.setattr(critical, "minimal_common_multiples", counted)
+        spec, order = mora_ctx.monoid, mora_prebasis.sig_order
+        g1, g2, _ = mora_prebasis.members
+        # x*y^2 * g1 has g1's ratio: every common multiple ties
+        tie = multiply(mono(mora_ctx, 1, 2), g1)
+        assert critical_pair_signatures(tie, g1, spec, order) == ((), ())
+        assert searched == []
+        assert critical_pair_signatures(g2, g1, spec, order) == (
+            (mono(mora_ctx, 5, 2, slot=2),), ()
+        )
+        assert searched == [(g2.part.lm, g1.part.lm)]
 
 
 class TestOwnedRecord:

@@ -23,7 +23,7 @@ from sigbasis.sigcore import (
     regular_normal_form_with_steps,
     syzygy_signatures,
 )
-from sigbasis.systems import katsura
+from sigbasis.systems import katsura, mora_context, mora_generators
 from sigbasis.textio import parse_element, render_element, render_monomial, render_sigpair
 
 
@@ -279,6 +279,49 @@ _BUILDS = pytest.mark.parametrize(
     ],
     ids=["full", "degree_truncated", "generated", "module"],
 )
+
+
+def _sum_basis():
+    # {g1} and {g2, g3} of mora are each Groebner bases
+    gens = mora_generators(mora_context())
+    return run(make_prebasis_sum(gens[:1], gens[1:], "top"), Strategy.f5()).basis
+
+
+class TestSlotRealizations:
+    """``realizations`` scans only the members of sigma's signature slot; it
+    must yield what a divide over every member yields, in both orders."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: _katsura4_basis(MonoidSpec.full(), Strategy.f5()), _sum_basis, _module_basis],
+        ids=["shifted", "sum", "module"],
+    )
+    def test_matches_divide_scan(self, build):
+        G = build()
+        spec, width = G.monoid, G.ctx.width
+        slots = {g.sig.indices for g in G.members}
+        assert any(g.part.is_zero for g in G.members) and len(slots) > 1
+        rng = random.Random(2703)
+        sigmas = [
+            g.sig.mul(Monomial(tuple(rng.randrange(3) for _ in range(width))))
+            for g in G.members for _ in range(3)
+        ]
+        # a slot that no member has
+        top = max(slots)
+        sigmas.append(Monomial(G.members[0].sig.exps, top[:-1] + (top[-1] + 1,)))
+        hits = 0
+        for sigma in sigmas:
+            for newest_first in (True, False):
+                members = reversed(G.members) if newest_first else G.members
+                expected = [
+                    (g, a) for g in members
+                    if (a := divide(g.sig, sigma, spec)) is not None
+                ]
+                assert list(G.realizations(sigma, newest_first=newest_first)) == expected
+                hits += len(expected)
+        # every sigma but the last has a realization, and some have several
+        assert hits > 2 * (len(sigmas) - 1)
+        assert not list(G.realizations(sigmas[-1]))
 
 
 class TestMaskedReducerLookup:
