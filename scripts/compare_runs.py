@@ -25,7 +25,10 @@ JSON entry per configuration:
   cli-verify commands of the benchmark, and on ``SUM_TEXT``, a two-block
   ``sig_init: sum`` problem that the script writes itself.  Both its blocks
   are Groebner bases, so the command passes the blocks' closure check and
-  runs ``--verify``.  Each entry holds the exit code, stdout, stderr and the
+  runs ``--verify``.  ``cli/limits/...`` runs ``--builtin katsura4
+  --emit-json`` cut by ``--max-insertions 3`` and by ``--max-seconds 0``, so
+  the exit code 3, the limit message and the uncertified partial JSON are
+  compared too.  Each entry holds the exit code, stdout, stderr and the
   bytes of every ``--emit-*`` file.
 * ``oracle/...``: ``verify.buchberger`` on mora and katsura4-6 over Q,
   katsura6-gf, katsura7-gf, dense-q seeds 1-3 and the three monoid-gf
@@ -71,6 +74,8 @@ CLI_VERIFY = (
                      "--emit-dot")),
     ("katsura4-q", ("--strategy", "f5", "--verify-deep", "4", "--emit-json")),
 )
+LIMITS = (("max-insertions-3", ("--max-insertions", "3")),
+          ("max-seconds-0", ("--max-seconds", "0")))
 # mora's reduced Groebner basis, and a pair with coprime leading monomials
 SUM_TEXT = """vars: y x
 sig_init: sum
@@ -212,6 +217,8 @@ def _cli_runs(checkout: Path, outdir: Path):
     path = outdir / "sum.sys"
     path.write_text(SUM_TEXT)
     yield "cli/verify/sum", ["run", str(path), "--verify", "--emit-json"]
+    for name, flags in LIMITS:
+        yield f"cli/limits/{name}", ["run", "--builtin", "katsura4", "--emit-json", *flags]
 
 
 def digest(checkout: Path, out_path: Path) -> int:

@@ -14,6 +14,9 @@ Problem file format (line oriented, ``#`` comments allowed)::
     x^2*y^2 - 1
     y^5 - x^2*y
 
+Every line holding a ``:`` is a header line, each key at most once; the
+other lines belong to the last ``gens:`` or ``gens2:`` block above them.
+
 Exit codes: 0 success, 1 usage or parse error, 2 certificate or verification
 failure, 3 limit breach.
 """
@@ -179,26 +182,26 @@ def parse_problem(text: str, field: str | None = None) -> ProblemSpec:
     and the generator lines are checked in it.
     """
     header = {}
-    gen_lines = []
-    gen2_lines = []
     block = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if block is not None and not line.startswith("gens2:"):
+        # generator text never holds a colon: a line that does is a header
+        if ":" not in line:
+            if block is None:
+                raise ParseError("expected 'key: value'", lineno, 1)
             block.append((lineno, line))
             continue
-        if ":" not in line:
-            raise ParseError("expected 'key: value'", lineno, 1)
         key, _, value = line.partition(":")
         key, value = key.strip(), value.strip()
+        if key in header:
+            raise ParseError(f"duplicate '{key}:' line", lineno, 1)
         if key in ("gens", "gens2"):
-            block = gen_lines if key == "gens" else gen2_lines
-            if value:
-                block.append((lineno, value))
-            continue
-        header[key] = (lineno, value)
+            block = header[key] = [(lineno, value)] if value else []
+        else:
+            header[key] = (lineno, value)
+    gen_lines, gen2_lines = header.pop("gens", []), header.pop("gens2", [])
 
     if "vars" not in header:
         raise ParseError("missing 'vars:' line", 1, 1)

@@ -3,10 +3,11 @@
 A critical signature belongs to an unordered pair of sigpairs: for a minimal
 common multiple a*lm(f) = b*lm(g), it is the larger of a*sig(f) and b*sig(g),
 owned by that side's member.  Keys are additive, so one comparison of sig/lm
-ratios (``sig_lm_ratio``) settles the side for every common multiple of a
-pair.  Each pair of nonzero parts of a ``SigSet`` is searched once, into its
-record ``G.owned``: ``queue_update`` feeds the queue from the new pairs, and
-``critical_set`` reads the record.  The queue holds pending signatures,
+ratios (``sig_lm_ratio``, defined with the reducer lookup in ``sigcore``)
+settles the side for every common multiple of a pair.  Each pair of nonzero
+parts of a ``SigSet`` is searched once, into its record ``G.owned``:
+``queue_update`` feeds the queue from the new pairs, and ``critical_set``
+reads the record.  The queue holds pending signatures,
 optionally pruned so that no member properly divides another.
 """
 
@@ -21,7 +22,7 @@ from .monomials import (
     divides_exponentwise,
     minimal_common_multiples,
 )
-from .sigcore import SigPair, SigSet
+from .sigcore import SigPair, SigSet, sig_lm_ratio
 
 __all__ = [
     "critical_pair_signatures",
@@ -29,13 +30,6 @@ __all__ = [
     "CriticalQueue",
     "queue_update",
 ]
-
-
-def sig_lm_ratio(g: SigPair, sig_order) -> int:
-    """r(g) = key(sig g) - (key(lm g) << lift), for a nonzero part: keys are
-    additive, so a*lm(f) = b*lm(g) gives key(a*sig f) - key(b*sig g) = r(f) -
-    r(g) (Roune & Stillman, ISSAC 2012)."""
-    return sig_order.key(g.sig) - (g.part.terms[0][0] << sig_order.lift)
 
 
 def critical_pair_signatures(f: SigPair, g: SigPair, spec, sig_order):

@@ -9,25 +9,26 @@ and inserts them with provenance recorded in a forest of reduction ancestry
 invariant can be asserted at loop heads in debug runs.  In a ring with the
 full monoid, a picked signature divisible by the leading signature of a
 principal (Koszul) syzygy between two nonzero members is inserted as a
-zero-part marker without being reduced.  The test reads the basis itself: a
-nonzero member g whose signature divides the picked one, and a member h whose
-leading monomial divides the multiplier.
+zero-part marker without being reduced.  The test reads the basis through
+the reducer lookup's memo: a nonzero member g whose signature divides the
+picked one, and the lowest-ratio member h whose leading monomial divides the
+multiplier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import monotonic
 
 from .algebra import Element
-from .critical import CriticalQueue, critical_set, queue_update, sig_lm_ratio
-from .errors import CertificateError, ContractError, LimitExceeded, SigbasisError
+from .critical import CriticalQueue, critical_set, queue_update
+from .errors import CertificateError, ContractError, LimitExceeded, SigbasisError, check_deadline
 from .monomials import Monomial, ScalarOrder, divide
 from .sigcore import (
     SigPair,
     SigSet,
     find_regular_reducer,
     regular_normal_form_with_steps,
+    sig_lm_ratio,
     syzygy_signatures,
 )
 from .textio import render_monomial
@@ -230,19 +231,21 @@ def _koszul_multiple(sigma: Monomial, G: SigSet) -> bool:
     part(h)*u_g - part(g)*u_h between two nonzero members of G.
 
     That signature is lm(h)*sig(g) when it exceeds lm(g)*sig(h), that is
-    when g's sig/lm ratio exceeds h's (``sig_lm_ratio``), and lm(h)*sig(g)
-    divides sigma iff sig(g) does with a quotient that lm(h) divides.  Every
-    multiple of one is a syzygy signature, where the regular normal form is
-    zero once G is complete below it.  The syzygy needs every part monomial
-    as a multiplier: full monoid, index-free parts.
+    when g's sig/lm ratio exceeds h's, and lm(h)*sig(g) divides sigma iff
+    sig(g) does with a quotient a that lm(h) divides.  So the test asks G's
+    lowest divisor of a (``SigSet.lowest_divisor``, the reducer lookup's
+    memo) whether its ratio lies below g's.  Every multiple of one is a
+    syzygy signature, where the regular normal form is zero once G is
+    complete below it.  The syzygy needs every part monomial as a
+    multiplier: full monoid, index-free parts.
     """
-    order = G.sig_order
+    key, order = G.ctx.order.key, G.sig_order
     for g, a in G.realizations(sigma):
         if g.part.is_zero:
             continue
-        for h, _ in G.divisors_of(a):
-            if sig_lm_ratio(g, order) > sig_lm_ratio(h, order):
-                return True
+        r, h = G.lowest_divisor(a, key(a))
+        if h is not None and r < sig_lm_ratio(g, order):
+            return True
     return False
 
 
@@ -311,16 +314,12 @@ def run(
     def partial():
         return RunResult(G, tree, syzygy_signatures(G), stats)
 
-    def check_deadline():
-        if deadline is not None and monotonic() > deadline:
-            raise LimitExceeded("time cap exceeded", partial=partial())
-
     for i, g in enumerate(prebasis.members, start=1):
         if g.id != i:
             raise ContractError("prebasis ids must be 1..r in order")
         G.add(g)
         tree.add_node(g, parent=0, rank=0, edge=ctx.identity_monomial())
-        check_deadline()
+        check_deadline(deadline, partial=partial)
         queue_update(Q, G)
     stats.peak_queue = len(Q)
 
@@ -336,7 +335,7 @@ def run(
     while len(Q):
         if stats.insertions >= max_insertions:
             raise LimitExceeded("insertion cap exceeded", partial=partial())
-        check_deadline()
+        check_deadline(deadline, partial=partial)
         if debug_invariant_stride and stats.iterations % debug_invariant_stride == 0:
             _check_invariant(G, Q, invariant_cache)
         stats.iterations += 1
@@ -419,11 +418,6 @@ def run(
     return partial()
 
 
-def _check_deadline(deadline):
-    if deadline is not None and monotonic() > deadline:
-        raise LimitExceeded("time cap exceeded")
-
-
 def faugere_certificate(G: SigSet, *, deadline: float | None = None) -> CertificateReport:
     """Combinatorial rewrite-basis check over the critical set.
 
@@ -432,7 +426,7 @@ def faugere_certificate(G: SigSet, *, deadline: float | None = None) -> Certific
     """
     failures = []
     for s in critical_set(G):
-        _check_deadline(deadline)
+        check_deadline(deadline)
         if not rewrite_basis_at(G, s):
             failures.append(s)
     failures.sort(key=G.sig_order.key)
@@ -474,7 +468,7 @@ def validate_sigtree(
         if not part_key(shifted) > part_key(label.part.lm):
             violations.append(f"T1: no strict leading-monomial drop at node {idx}")
     for idx in range(1, len(tree.nodes)):
-        _check_deadline(deadline)
+        check_deadline(deadline)
         node = tree.nodes[idx]
         label = node.label
         if label.part.is_zero:

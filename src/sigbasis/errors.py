@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the time cap's one check."""
+
+from time import monotonic
 
 
 class SigbasisError(Exception):
@@ -34,3 +36,11 @@ class LimitExceeded(SigbasisError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+def check_deadline(deadline, during="", partial=None):
+    """Raise ``LimitExceeded("time cap exceeded" + during)`` once
+    ``time.monotonic()`` is past ``deadline``; ``None`` is no cap.
+    ``partial``, when given, is called for the partial result to carry."""
+    if deadline is not None and monotonic() > deadline:
+        raise LimitExceeded("time cap exceeded" + during, partial and partial())

@@ -4,16 +4,19 @@ A sigpair couples a polynomial part with a signature monomial.  Regular
 reduction only admits reducers whose shifted signature stays strictly below
 the signature being worked at; this is the constraint that distinguishes the
 signature world from plain reduction.  It is applied to every term of the
-part, the leading one first (full regular reduction).
+part, the leading one first (full regular reduction).  Whether some b*g with
+b*lm(g) = t lies below a signature is one comparison of g's sig/lm ratio
+(``sig_lm_ratio``), which a ``SigSet`` stores per nonzero part; its
+``lowest_divisor`` is the one scan of those parts, and its memo serves the
+reducer lookup and the engine's Koszul test alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import monotonic
 
 from .algebra import Context, Element, RationalField, normal_form_with_steps
-from .errors import ContractError, LimitExceeded, StructureError
+from .errors import ContractError, StructureError, check_deadline
 from .monomials import (
     ModuleOrder, Monomial, MonoidSpec, ScalarOrder, divide, quotient_exps,
 )
@@ -45,20 +48,27 @@ class SigPair:
             raise StructureError("a sigpair signature is never the zero monomial")
 
 
+def sig_lm_ratio(g: SigPair, sig_order: ModuleOrder) -> int:
+    """r(g) = key(sig g) - (key(lm g) << lift), for a nonzero part: keys are
+    additive, so b*lm(g) = t gives key(b*sig g) = r(g) + (key(t) << lift), and
+    a*lm(f) = b*lm(g) gives key(a*sig f) - key(b*sig g) = r(f) - r(g)
+    (Roune & Stillman, ISSAC 2012)."""
+    return sig_order.key(g.sig) - (g.part.terms[0][0] << sig_order.lift)
+
+
 class SigSet:
     """Ordered, append-only collection of sigpairs with shared orders.
 
     ``certified`` is set by the engine once the combinatorial rewrite-basis
     certificate has passed; classification requires it.  Each nonzero part
-    is kept with its support mask, its leading monomial's key and its
-    signature's key, so the reducer lookup shifts keys by arithmetic.  Each
-    signature is kept with its support mask under its position tuple
-    (``sig.indices``): a signature divides only those of its own slot.
-    ``owned`` holds the critical signatures owned by each member of the
-    prefix whose pairs are searched; only ``critical`` uses it.
-    ``_lowest`` is the reducer lookup's memo: per target key, how many
-    nonzero parts were scanned and the smallest (shifted signature key, id)
-    divisor among them; only ``find_regular_reducer`` uses it.
+    is kept with its support mask, its leading monomial and its sig/lm ratio
+    (``sig_lm_ratio``), so b*sig(g) for b*lm(g) = t has the key r(g) +
+    (key(t) << lift) without being built.  Each signature is kept with its
+    support mask under its position tuple (``sig.indices``): a signature
+    divides only those of its own slot.  ``owned`` holds the critical
+    signatures owned by each member of the prefix whose pairs are searched;
+    only ``critical`` uses it.  ``_lowest`` is ``lowest_divisor``'s memo, and
+    that method alone scans the nonzero parts.
     """
 
     def __init__(self, ctx: Context, sig_order: ModuleOrder, members=(), origin="adhoc"):
@@ -69,11 +79,11 @@ class SigSet:
         self.certified = False
         self._ids = set()
         # signature slot -> (support mask, member) of its signatures; (support
-        # mask, lm, lm key, signature key, member) of every nonzero part
+        # mask, lm, sig/lm ratio, member) of every nonzero part
         self._sigs: dict[tuple[int, ...], list[tuple[int, SigPair]]] = {}
-        self._reducers: list[tuple[int, Monomial, int, int, SigPair]] = []
+        self._reducers: list[tuple[int, Monomial, int, SigPair]] = []
         self.owned: list[set[Monomial]] = []
-        # target key -> (parts scanned, lowest shifted key or None, its member)
+        # target key -> (parts scanned, lowest ratio or None, its member)
         self._lowest: dict[int, tuple[int, int | None, SigPair | None]] = {}
         for m in members:
             self.add(m)
@@ -90,9 +100,9 @@ class SigSet:
         slot = self._sigs.setdefault(sp.sig.indices, [])
         slot.append((_support_mask(sp.sig.exps), sp))
         if sp.part.terms:
-            key, lm, _ = sp.part.terms[0]
+            lm = sp.part.terms[0][1]
             self._reducers.append(
-                (_support_mask(lm.exps), lm, key, self.sig_order.key(sp.sig), sp)
+                (_support_mask(lm.exps), lm, sig_lm_ratio(sp, self.sig_order), sp)
             )
 
     def realizations(self, sigma: Monomial, newest_first=True):
@@ -109,17 +119,35 @@ class SigSet:
             if a is not None:
                 yield g, a
 
-    def divisors_of(self, mono: Monomial):
-        """Yield ``(member, b)`` with ``b * lm(member part) == mono``, over the
-        nonzero parts in ascending id order."""
-        spec = self.ctx.monoid
-        mono_mask = _support_mask(mono.exps)
-        for mask, lm, _, _, g in self._reducers:
-            if mask & ~mono_mask:
-                continue
-            b = divide(lm, mono, spec)
-            if b is not None:
-                yield g, b
+    def lowest_divisor(self, mono: Monomial, key: int):
+        """``(r, member)`` for the nonzero part whose leading monomial divides
+        ``mono`` with the lowest (sig/lm ratio, id), or ``(None, None)``;
+        ``key`` is ``mono``'s order key.
+
+        Over the divisors of one target, b*sig(g) ranks as r(g), so the
+        answer does not depend on any signature: it is kept per key, and
+        since the set only appends, a later lookup scans just the parts
+        added since.
+        """
+        reducers = self._reducers
+        scanned, best_r, best = self._lowest.get(key, (0, None, None))
+        if scanned < len(reducers):
+            exps, indices = mono.exps, mono.indices
+            mono_mask = _support_mask(exps)
+            spec = self.ctx.monoid
+            for mask, lm, r, g in reducers[scanned:]:
+                if mask & ~mono_mask:
+                    continue
+                # a candidate must beat the lowest (r, id) so far; the ratio
+                # only counts for a divisor, which is checked last
+                if best is not None and (r > best_r or r == best_r and g.id >= best.id):
+                    continue
+                if lm.indices != indices:
+                    continue
+                if quotient_exps(lm.exps, exps, spec) is not None:
+                    best_r, best = r, g
+            self._lowest[key] = (len(reducers), best_r, best)
+        return best_r, best
 
     def __len__(self):
         return len(self.members)
@@ -216,15 +244,9 @@ def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, fresh=
     Returns the member g, or None, for which some b has ``b * lm(g part) ==
     target_lm`` and ``b * sig(g) < sigma``; b is not built, since a caller
     reads it off the two leading monomials.  Ties on the shifted signature
-    break toward the smallest provenance id.  A candidate's shifted
-    signature key is its signature key plus the shift key(target) - key(lm)
-    lifted into the signature order.
-
-    That shifted key does not depend on ``sigma``, so the lowest (key, id)
-    divisor of a target is found once and kept in G's memo; since G only
-    appends, a later lookup of the same target scans just the parts added
-    since, and the answer is the lowest divisor when it lies below
-    ``sigma``.
+    break toward the smallest provenance id.  G's lowest divisor of the
+    target (``SigSet.lowest_divisor``) is the answer when its shifted
+    signature key, r + (key(target) << lift), lies below ``sigma``'s.
 
     ``fresh`` holds sigpairs not in G whose ids exceed every member's (a
     batch's earlier results).  One is admitted only unshifted: its part's
@@ -236,28 +258,10 @@ def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, fresh=
         raise ContractError("no reducer for the zero monomial")
     skey = G.sig_order.key
     target_key = _target_key if _target_key is not None else G.ctx.order.key(target_lm)
-    reducers = G._reducers
-    scanned, best_key, best = G._lowest.get(target_key, (0, None, None))
-    if scanned < len(reducers):
-        exps, indices = target_lm.exps, target_lm.indices
-        target_mask = _support_mask(exps)
-        lift = G.sig_order.lift
-        spec = G.ctx.monoid
-        for mask, lm, lm_key, sig_key, g in reducers[scanned:]:
-            if mask & ~target_mask:
-                continue
-            k = sig_key + ((target_key - lm_key) << lift)
-            # a candidate must beat the lowest (key, id) so far; the key is
-            # only meaningful for a divisor, which is checked last
-            if best is not None and (k > best_key or k == best_key and g.id >= best.id):
-                continue
-            if lm.indices != indices:
-                continue
-            if quotient_exps(lm.exps, exps, spec) is not None:
-                best_key, best = k, g
-        G._lowest[target_key] = (len(reducers), best_key, best)
     sigma_key = _sigma_key if _sigma_key is not None else skey(sigma)
-    if best is None or best_key >= sigma_key:
+    r, best = G.lowest_divisor(target_lm, target_key)
+    best_key = sigma_key if best is None else r + (target_key << G.sig_order.lift)
+    if best_key >= sigma_key:
         best_key, best = sigma_key, None
     # a fresh id exceeds the best's, so on the (key, id) order only a
     # strictly smaller key wins
@@ -284,8 +288,8 @@ def regular_normal_form_with_steps(f: SigPair, G: SigSet, fresh=(), deadline=Non
     sigma_key = G.sig_order.key(f.sig)
 
     def admit(k, mono):
-        if deadline is not None and monotonic() > deadline:
-            raise LimitExceeded("time cap exceeded")
+        if deadline is not None:  # an uncapped run makes no call per lookup
+            check_deadline(deadline)
         found = find_regular_reducer(mono, f.sig, G, fresh, sigma_key, k)
         return None if found is None else found.part
 

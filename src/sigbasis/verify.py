@@ -36,10 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add
-from time import monotonic
 
 from .algebra import Element, PrimeField, SpanEchelon, _product
-from .errors import ContractError, LimitExceeded
+from .errors import ContractError, LimitExceeded, check_deadline
 from .monomials import (
     Monomial,
     divide,
@@ -175,11 +174,6 @@ def _spair(f: Element, g: Element, a: Monomial, b: Monomial) -> Element:
     return fa.sub_scaled(gb, lam)
 
 
-def _check_deadline(deadline):
-    if deadline is not None and monotonic() > deadline:
-        raise LimitExceeded("time cap exceeded during verification")
-
-
 def _lcm(m, n):
     return tuple(map(max, m, n))
 
@@ -227,7 +221,7 @@ def buchberger(gens, spec, *, deadline: float | None = None) -> GroebnerBasis:
     ``_ORACLE_MAX_INSERTIONS``.  ``basis`` and ``masks`` only grow by
     append, so one divisor memo serves every reduction of the completion.
     """
-    _check_deadline(deadline)
+    check_deadline(deadline, " during verification")
     basis = [g.monic() for g in gens if not g.is_zero]
     if not basis:
         return GroebnerBasis(())
@@ -259,7 +253,7 @@ def buchberger(gens, spec, *, deadline: float | None = None) -> GroebnerBasis:
     inserted = 0
     while pairs:
         _, key, i, j, a, b = heappop(pairs)
-        _check_deadline(deadline)
+        check_deadline(deadline, " during verification")
         if live.pop(key, None) is None:
             continue
         s = _spair(basis[i], basis[j], a, b)
@@ -298,7 +292,7 @@ def _interreduce(basis, spec, deadline):
     memo = {}
     out = []
     for g in minimal:
-        _check_deadline(deadline)
+        check_deadline(deadline, " during verification")
         tail = _full_reduce(Element(ctx, g.terms[1:]), minimal, spec, masks, memo)
         out.append(Element(ctx, g.terms[:1] + tail.terms))
     return out
@@ -316,7 +310,7 @@ def is_groebner_basis(elems, spec, *, deadline: float | None = None) -> bool:
     for i in range(len(elems)):
         for j in range(i):
             for a, b in minimal_common_multiples(elems[i].lm, elems[j].lm, spec):
-                _check_deadline(deadline)
+                check_deadline(deadline, " during verification")
                 s = _spair(elems[i], elems[j], a, b)
                 if not _full_reduce(s, elems, spec, masks, memo).is_zero:
                     return False
@@ -382,7 +376,7 @@ def bounded_signature_basis_check(
     fed = 0
     violations = []
     for sigma, sigma_key in sorted(sigmas.items(), key=lambda kv: kv[1]):
-        _check_deadline(deadline)
+        check_deadline(deadline, " during verification")
         while fed < len(products) and products[fed][0] <= sigma_key:
             _, part, am = products[fed]
             fed += 1
@@ -426,7 +420,7 @@ def bounded_syzygy_check(
     kernel_lms = []
     ech = SpanEchelon()
     for _, shifted, am, g in entries:
-        _check_deadline(deadline)
+        check_deadline(deadline, " during verification")
         if ech.residue_vector(g.mul_monomial(am)).is_zero:
             kernel_lms.append(shifted)
     syz = result.syzygies

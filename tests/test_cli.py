@@ -204,40 +204,48 @@ class TestMainExitCodes:
         )
 
     def test_verification_bounded_by_max_seconds(self, monkeypatch, capsys):
-        # the engine finishes inside the cap; the oracle's clock reads past it
-        from sigbasis import verify
+        # the engine finishes inside the cap; the clock reads past it once
+        # the oracle starts
+        from sigbasis import cli, errors
 
-        monkeypatch.setattr(verify, "monotonic", lambda: float("inf"))
+        real = cli.buchberger
+
+        def late_oracle(*args, **kwargs):
+            monkeypatch.setattr(errors, "monotonic", lambda: float("inf"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "buchberger", late_oracle)
         argv = ["run", "--builtin", "mora", "--verify", "--max-seconds", "60"]
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out.startswith("basis: ")
-        assert captured.err.startswith("limit exceeded: ") and captured.err.count("\n") == 1
+        assert captured.err == "limit exceeded: time cap exceeded during verification\n"
 
     def test_sum_basis_check_bounded_by_max_seconds(self, tmp_path, monkeypatch, capsys):
         # both blocks are Groebner bases; the clock reads past the deadline
         # while the first block's closure is checked, before the engine runs
-        from sigbasis import verify
+        from sigbasis import errors
 
         path = tmp_path / "sum.sys"
         path.write_text("vars: y x\nsig_init: sum\ngens:\nx - 1\ny - 1\ngens2:\nx + y\n")
         assert main(["run", str(path)]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(verify, "monotonic", lambda: float("inf"))
+        monkeypatch.setattr(errors, "monotonic", lambda: float("inf"))
         assert main(["run", str(path), "--max-seconds", "60"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("limit exceeded: ") and captured.err.count("\n") == 1
+        # the closure check's own message: the engine's would lack the suffix
+        assert captured.err == "limit exceeded: time cap exceeded during verification\n"
 
     def test_tree_check_bounded_by_max_seconds(self, monkeypatch, capsys):
         # the run and its own certificate finish; the clock reads past the
         # deadline once --verify validates the sigtree
-        from sigbasis import cli, engine
+        from sigbasis import cli, engine, errors
 
         real = engine.validate_sigtree
 
         def late_tree_check(tree, G, *, deadline=None):
-            monkeypatch.setattr(engine, "monotonic", lambda: float("inf"))
+            monkeypatch.setattr(errors, "monotonic", lambda: float("inf"))
             return real(tree, G, deadline=deadline)
 
         monkeypatch.setattr(cli, "validate_sigtree", late_tree_check)
@@ -245,19 +253,20 @@ class TestMainExitCodes:
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out.startswith("basis: ")
-        assert captured.err.startswith("limit exceeded: ") and captured.err.count("\n") == 1
+        # the tree check's own message: the oracle after it would add a suffix
+        assert captured.err == "limit exceeded: time cap exceeded\n"
 
     def test_prebasis_pair_search_bounded_by_max_seconds(self, monkeypatch, capsys):
-        # the engine's clock reads past the deadline once the first prebasis
-        # member's pairs are searched: the next member's search never starts
-        from sigbasis import engine
+        # the clock reads past the deadline once the first prebasis member's
+        # pairs are searched: the next member's search never starts
+        from sigbasis import engine, errors
 
         real = engine.queue_update
         searched = []
 
         def late_queue_update(Q, G):
             searched.append(G.members[-1].id)
-            monkeypatch.setattr(engine, "monotonic", lambda: float("inf"))
+            monkeypatch.setattr(errors, "monotonic", lambda: float("inf"))
             return real(Q, G)
 
         monkeypatch.setattr(engine, "queue_update", late_queue_update)
@@ -361,10 +370,16 @@ class TestMainExitCodes:
             "vars: y x\nsig_order: mid",
             "vars: y x\nsig_init: twisted",
             "vars: y x\ncolour: red",
+            "vars: y x\nfield: GF 7\nfield: Q",
+            "vars: y x\nvars: y x",
+            "vars: y x\ngens:\ny - 1",
+            "vars: y x\ngens2:\ny - 1\ngens2:\nx + y",
+            "vars: y x\ngens2:\ny - 1\nfield: GF 7\nfield: GF 7",
         ],
         ids=["no-colon", "no-vars", "empty-vars", "bad-name", "reserved-name",
              "duplicate-name", "order", "setting", "empty-setting", "sig-order",
-             "sig-init", "unknown-key"],
+             "sig-init", "unknown-key", "repeated-field", "repeated-vars",
+             "repeated-gens", "repeated-gens2", "repeated-field-after-block"],
     )
     def test_malformed_header(self, header, tmp_path, capsys):
         path = tmp_path / "bad.sys"
@@ -373,6 +388,33 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("vars: y x\nfield: GF 7\nfield: Q\ngens:\nx - 1\n", 3),
+            ("vars: y x\ngens:\nx - 1\n# again\ngens: y - 1\n", 5),
+        ],
+        ids=["header", "block"],
+    )
+    def test_repeated_key_names_its_line(self, text, lineno, tmp_path, capsys):
+        path = tmp_path / "twice.sys"
+        path.write_text(text)
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {lineno}, col 1: duplicate ")
+        assert err.count("\n") == 1
+
+    def test_gens2_block_before_gens(self, tmp_path, capsys):
+        # the same two blocks in the other order, with a header between them
+        first, second = "x - 1\ny - 1\n", "x + y\n"
+        swapped = f"vars: y x\ngens2:\n{second}sig_init: sum\ngens:\n{first}"
+        ordered = f"vars: y x\nsig_init: sum\ngens:\n{first}gens2:\n{second}"
+        assert parse_problem(swapped) == parse_problem(ordered)
+        path = tmp_path / "swapped.sys"
+        path.write_text(swapped)
+        assert main(["run", str(path), "--verify"]) == 0
+        assert "oracle-lm-ideal=pass" in capsys.readouterr().out
 
     def test_certificate_failure_exit_2(self, monkeypatch, capsys):
         from sigbasis import engine
@@ -507,7 +549,7 @@ class TestEmitters:
     @pytest.mark.parametrize("cap", ["insertions", "seconds"])
     def test_capped_run_emits_partial_json(self, cap, tmp_path, monkeypatch, capsys):
         # the partial result goes out uncertified; exit code and message stay
-        from sigbasis import engine
+        from sigbasis import errors
 
         out = tmp_path / "cut.json"
         argv = ["run", "--builtin", "mora", "--emit-json", str(out)]
@@ -515,11 +557,14 @@ class TestEmitters:
             argv += ["--max-insertions", "1"]
         else:
             argv += ["--max-seconds", "60"]
-            monkeypatch.setattr(engine, "monotonic", lambda: float("inf"))
+            monkeypatch.setattr(errors, "monotonic", lambda: float("inf"))
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("limit exceeded: ") and captured.err.count("\n") == 1
+        if cap == "seconds":
+            # the loop's own check, not one inside a reduction
+            assert captured.err == "limit exceeded: time cap exceeded\n"
         payload = json.loads(out.read_text())
         assert payload["certified"] is False
         assert set(payload) == {

@@ -13,6 +13,7 @@ from sigbasis.cli import parse_problem
 from sigbasis.engine import (
     SigTree,
     Strategy,
+    _koszul_multiple,
     export_dot,
     faugere_certificate,
     rewrite_basis_at,
@@ -23,7 +24,7 @@ from sigbasis.engine import (
     validate_sigtree,
 )
 from sigbasis.errors import ContractError, LimitExceeded
-from sigbasis.monomials import Monomial
+from sigbasis.monomials import Monomial, divide
 from sigbasis.sigcore import (
     SigPair,
     SigSet,
@@ -34,6 +35,7 @@ from sigbasis.sigcore import (
 )
 from sigbasis.systems import builtin_problem, katsura
 from sigbasis.verify import buchberger, lm_ideal_equal
+from test_sigcore import _naive_reducer
 
 ALL_STRATEGIES = [
     Strategy.in_order(),
@@ -334,9 +336,9 @@ class TestLimits:
         assert partial.stats.insertions == 0
 
     def test_deadline_stops_inside_a_reduction(self, monkeypatch):
-        # the reduction's clock reads past the deadline from its k-th reducer
-        # lookup on; the engine's own checks keep the real clock
-        from sigbasis import sigcore
+        # the clock reads past the deadline from a reduction's k-th reducer
+        # lookup on, so the check before the next lookup stops the run
+        from sigbasis import errors, sigcore
 
         _, gens = builtin_problem("katsura4")
         full = run(make_prebasis_shifted(gens, "top"), Strategy.f5())
@@ -349,7 +351,8 @@ class TestLimits:
 
         k = 20
         monkeypatch.setattr(sigcore, "find_regular_reducer", counted)
-        monkeypatch.setattr(sigcore, "monotonic", lambda: float("inf") if len(lookups) >= k else 0.0)
+        monkeypatch.setattr(errors, "monotonic",
+                            lambda: float("inf") if len(lookups) >= k else 0.0)
         with pytest.raises(LimitExceeded, match="time cap exceeded in a reduction") as info:
             run(make_prebasis_shifted(gens, "top"), Strategy.f5(),
                 deadline=time.monotonic() + 60)
@@ -361,10 +364,10 @@ class TestLimits:
 
     def test_no_deadline_means_no_time_cap(self, mora_prebasis, monkeypatch):
         # a clock that jumps a day per reading: any default cap would expire
-        from sigbasis import engine
+        from sigbasis import errors
 
         clock = itertools.count(0, 86_400)
-        monkeypatch.setattr(engine, "monotonic", lambda: next(clock))
+        monkeypatch.setattr(errors, "monotonic", lambda: next(clock))
         assert run(mora_prebasis, Strategy.f5()).basis.certified
 
 
@@ -458,6 +461,58 @@ class TestKoszulPrediction:
         assert runs["ring"][1].koszul_zeros > 0
 
 
+def _koszul_two_loops(sigma, G):
+    """The Koszul test as two loops over G, as it read before the lookup
+    memo: every nonzero realization g, then every nonzero member h whose
+    leading monomial divides the multiplier, comparing lm(h)*sig(g) with
+    lm(g)*sig(h) as built monomials."""
+    skey, spec = G.sig_order.key, G.monoid
+    for g, a in G.realizations(sigma):
+        if g.part.is_zero:
+            continue
+        for h in G.members:
+            if h.part.is_zero or divide(h.part.lm, a, spec) is None:
+                continue
+            if skey(g.sig.mul(h.part.lm)) > skey(h.sig.mul(g.part.lm)):
+                return True
+    return False
+
+
+class TestKoszulSharedMemo:
+    """``_koszul_multiple`` asks ``SigSet.lowest_divisor`` about the
+    multiplier a = sigma / sig(g), the memo that ``find_regular_reducer``
+    fills for part monomials.  Output bases are grown member by member; at
+    each size every signature a*sig(g) asked so far is asked again, and each
+    answer is checked against the two-loop scan, with reducer lookups at the
+    multiplier and at a*lm(g) in between, so both kinds of target read and
+    advance one memo."""
+
+    @pytest.mark.parametrize("sig_order", ["top", "pot"])
+    @pytest.mark.parametrize("make", [make_prebasis_shifted, make_prebasis_unshifted],
+                             ids=["shifted", "unshifted"])
+    @pytest.mark.parametrize("system, degree", [("mora", 3), ("katsura4", 2), ("katsura5", 1)])
+    def test_matches_two_loops_as_the_basis_grows(self, system, degree, make, sig_order):
+        ctx, gens = builtin_problem(system)
+        B = run(make(gens, sig_order), Strategy.f5()).basis
+        G = SigSet(ctx, B.sig_order, origin=B.origin)
+        width = len(ctx.variables)
+        multipliers = [Monomial(e) for e in itertools.product(range(degree + 1), repeat=width)
+                       if sum(e) <= degree]
+        asked, answers = [], set()
+        for g in B.members:
+            G.add(g)
+            asked += [g.sig.mul(a) for a in multipliers]
+            for sigma in asked:
+                got = _koszul_multiple(sigma, G)
+                assert got == _koszul_two_loops(sigma, G), (len(G), sigma)
+                answers.add(got)
+                for h, a in itertools.islice(G.realizations(sigma), 1):
+                    targets = [a] if h.part.is_zero else [a, h.part.lm.mul(a)]
+                    for t in targets:
+                        assert find_regular_reducer(t, sigma, G) is _naive_reducer(t, sigma, G)
+        assert answers == {False, True}
+
+
 class TestFullReduction:
     """The engine's normal form reduces every term, not only the leading one."""
 
@@ -502,17 +557,18 @@ class TestCertificate:
             faugere_certificate(mora_run.basis, deadline=0.0)
 
     def test_run_caps_its_certificate(self, monkeypatch, mora_prebasis):
-        # the loop finishes inside the cap; the certificate's clock reads past it
-        from sigbasis import engine
+        # the loop finishes inside the cap; the clock reads past it once the
+        # certificate starts
+        from sigbasis import engine, errors
 
         real = engine.faugere_certificate
 
         def late_certificate(G, *, deadline=None):
-            monkeypatch.setattr(engine, "monotonic", lambda: float("inf"))
+            monkeypatch.setattr(errors, "monotonic", lambda: float("inf"))
             return real(G, deadline=deadline)
 
         monkeypatch.setattr(engine, "faugere_certificate", late_certificate)
-        with pytest.raises(LimitExceeded) as info:
+        with pytest.raises(LimitExceeded, match="^time cap exceeded in the certificate$") as info:
             run(mora_prebasis, Strategy.f5(), deadline=time.monotonic() + 60)
         partial = info.value.partial
         assert partial is not None and not partial.basis.certified

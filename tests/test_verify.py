@@ -8,7 +8,7 @@ from conftest import dense_pivots_of_elements, elem, load_fixture, mono
 from sigbasis.algebra import Context, Element, PrimeField, RationalField
 from sigbasis.cli import parse_problem
 from sigbasis.engine import Strategy, run
-from sigbasis import verify
+from sigbasis import errors, verify
 from sigbasis.errors import ContractError, LimitExceeded
 from sigbasis.monomials import Monomial, ModuleOrder, MonoidSpec, ScalarOrder, divide
 from sigbasis.sigcore import make_prebasis_shifted, make_prebasis_unshifted
@@ -137,7 +137,7 @@ class TestBuchberger:
         # completion finishes inside the deadline; the clock reads past it
         # once the final interreduction starts
         now = [0.0]
-        monkeypatch.setattr(verify, "monotonic", lambda: now[0])
+        monkeypatch.setattr(errors, "monotonic", lambda: now[0])
         interreduce = verify._interreduce
 
         def late_interreduce(*args):
