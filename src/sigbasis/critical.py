@@ -4,11 +4,13 @@ A critical signature belongs to an unordered pair of sigpairs: for a minimal
 common multiple a*lm(f) = b*lm(g), it is the larger of a*sig(f) and b*sig(g),
 owned by that side's member.  Keys are additive, so one comparison of sig/lm
 ratios (``sig_lm_ratio``, defined with the reducer lookup in ``sigcore``)
-settles the side for every common multiple of a pair.  Each pair of nonzero
+settles the side for every common multiple of a pair; the pair search reads
+the ratios that ``SigSet.add`` stored, one per member.  Each pair of nonzero
 parts of a ``SigSet`` is searched once, into its record ``G.owned``:
 ``queue_update`` feeds the queue from the new pairs, and ``critical_set``
-reads the record.  The queue holds pending signatures,
-optionally pruned so that no member properly divides another.
+reads the record.  The queue holds pending signatures, optionally pruned so
+that no member properly divides another; a pruned queue keeps each
+signature's support mask from ``add`` for that test.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .monomials import (
     divides_exponentwise,
     minimal_common_multiples,
 )
-from .sigcore import SigPair, SigSet, sig_lm_ratio
+from .sigcore import SigPair, SigSet, _support_mask, sig_lm_ratio
 
 __all__ = [
     "critical_pair_signatures",
@@ -32,7 +34,7 @@ __all__ = [
 ]
 
 
-def critical_pair_signatures(f: SigPair, g: SigPair, spec, sig_order):
+def critical_pair_signatures(f: SigPair, g: SigPair, spec, sig_order, rf=None, rg=None):
     """The critical signatures of the pair {f, g}, as ``(on_f, on_g)``.
 
     For each minimal common multiple a*lm(f) = b*lm(g), a*sig(f) goes to
@@ -40,17 +42,24 @@ def critical_pair_signatures(f: SigPair, g: SigPair, spec, sig_order):
     a*sig(f) is; a tie gives nothing.  The larger sig/lm ratio decides the
     side for every multiple at once, so equal ratios return before any
     common multiple is searched, and only the owner's signatures are built.
-    Each side ascends by signature key; swapping f and g swaps the sides.
+    ``rf`` and ``rg`` are f's and g's ratios when the caller holds them
+    (``SigSet.ratios``); each one left out is computed here.  Each side
+    ascends by signature key; swapping f and g swaps the sides.
     """
     if f.part.is_zero or g.part.is_zero:
         return (), ()
-    rf, rg = sig_lm_ratio(f, sig_order), sig_lm_ratio(g, sig_order)
+    if rf is None:
+        rf = sig_lm_ratio(f, sig_order)
+    if rg is None:
+        rg = sig_lm_ratio(g, sig_order)
     if rf == rg:
         return (), ()
     mcm = minimal_common_multiples(f.part.lm, g.part.lm, spec)
-    if rf > rg:
-        return tuple(sorted((f.sig.mul(a) for a, _ in mcm), key=sig_order.key)), ()
-    return (), tuple(sorted((g.sig.mul(b) for _, b in mcm), key=sig_order.key))
+    side, owner = (0, f.sig) if rf > rg else (1, g.sig)
+    sigs = [owner.mul(pair[side]) for pair in mcm]
+    if len(sigs) > 1:
+        sigs.sort(key=sig_order.key)
+    return (tuple(sigs), ()) if rf > rg else ((), tuple(sigs))
 
 
 def _undivided(ascending, divides):
@@ -75,19 +84,22 @@ def _search_new_pairs(G: SigSet):
     return ``(g, h, on_g, on_h)`` in search order.  A zero-part member gets
     its empty set too, so ``owned`` stays aligned with ``members``."""
     spec, order, members, owned = G.monoid, G.sig_order, G.members, G.owned
-    earlier = [(h, h_owned) for h, h_owned in zip(members, owned) if not h.part.is_zero]
+    ratios = G.ratios
+    earlier = [(h, rh, h_owned) for h, rh, h_owned in zip(members, ratios, owned)
+               if rh is not None]
     pairs = []
-    for g in members[len(owned):]:
+    start = len(owned)
+    for g, rg in zip(members[start:], ratios[start:]):
         g_owned = set()
         owned.append(g_owned)
-        if g.part.is_zero:
+        if rg is None:
             continue
-        for h, h_owned in earlier:
-            on_g, on_h = critical_pair_signatures(g, h, spec, order)
+        for h, rh, h_owned in earlier:
+            on_g, on_h = critical_pair_signatures(g, h, spec, order, rg, rh)
             g_owned.update(on_g)
             h_owned.update(on_h)
             pairs.append((g, h, on_g, on_h))
-        earlier.append((g, g_owned))
+        earlier.append((g, rg, g_owned))
     return pairs
 
 
@@ -106,11 +118,13 @@ def critical_set(G: SigSet) -> set[Monomial]:
 class CriticalQueue:
     """Finite, deduplicated set of pending signatures, sorted ascending.
 
-    The members are kept as one ascending list of ``(key, sigma)``; keys are
-    unique per signature, so the tuple comparison never reaches ``sigma``.
-    In pruned mode, members properly divided by another member are removed
-    after every update, and the entries added since the last prune are
-    recorded for it.  A source-pair map is kept for trace output only.
+    The members are kept as one ascending list of ``(key, sigma, mask)``;
+    keys are unique per signature, so the tuple comparison never reaches
+    ``sigma``.  In pruned mode, ``mask`` is sigma's support mask, computed
+    once at ``add`` (0 otherwise); members properly divided by another
+    member are removed after every update, and the entries added since the
+    last prune are recorded for it.  A source-pair map is kept for trace
+    output only.
     """
 
     def __init__(self, sig_order, spec, pruned_mode=False, trace=None):
@@ -129,7 +143,7 @@ class CriticalQueue:
         return sigma in self._sources
 
     def snapshot(self):
-        return [sigma for _, sigma in self._entries]
+        return [sigma for _, sigma, _ in self._entries]
 
     def _emit(self, event, sigma):
         if self.trace is not None:
@@ -144,7 +158,8 @@ class CriticalQueue:
     def add(self, sigma: Monomial, source=()):
         if sigma in self._sources:
             return False
-        entry = (self.sig_order.key(sigma), sigma)
+        mask = _support_mask(sigma.exps) if self.pruned_mode else 0
+        entry = (self.sig_order.key(sigma), sigma, mask)
         insort(self._entries, entry)
         if self.pruned_mode:
             self._added.append(entry)
@@ -160,7 +175,8 @@ class CriticalQueue:
         transitive, so only the entries added since then can change it: an
         older member goes only if a newer one divides it, and a newer one
         goes if any member does.  This is the set that scanning the whole
-        queue keeps.
+        queue keeps.  A candidate divisor t reaches ``divide`` only when its
+        stored support mask lies inside sigma's.
         """
         spec = self.spec
         sources = self._sources
@@ -168,16 +184,17 @@ class CriticalQueue:
         self._added = []
         if not added:
             return
-        fresh = {sigma for _, sigma in added}
+        fresh = {sigma for _, sigma, _ in added}
         kept = []
         for entry in self._entries:
-            k, sigma = entry
+            k, sigma, mask = entry
             # a proper divisor sorts strictly below its multiple
             if sigma in fresh:
                 divisors = kept
             else:
                 divisors = added[: bisect_left(added, (k,))]
-            if any(divide(t, sigma, spec) is not None for _, t in divisors):
+            if any(not t_mask & ~mask and divide(t, sigma, spec) is not None
+                   for _, t, t_mask in divisors):
                 self._emit("queue_prune", sigma)
                 del sources[sigma]
             else:
@@ -187,7 +204,7 @@ class CriticalQueue:
     def _pop(self, pos: int) -> Monomial:
         if not self._entries:
             raise ContractError("pop on an empty queue")
-        _, sigma = self._entries.pop(pos)
+        _, sigma, _ = self._entries.pop(pos)
         self._emit("pop", sigma)
         del self._sources[sigma]
         return sigma

@@ -237,7 +237,9 @@ def _koszul_multiple(sigma: Monomial, G: SigSet) -> bool:
     memo) whether its ratio lies below g's.  Every multiple of one is a
     syzygy signature, where the regular normal form is zero once G is
     complete below it.  The syzygy needs every part monomial as a
-    multiplier: full monoid, index-free parts.
+    multiplier: full monoid, index-free parts.  g's own ratio is computed
+    here, once per realization: ``realizations`` yields members, not the
+    ratios ``SigSet.ratios`` holds for them.
     """
     key, order = G.ctx.order.key, G.sig_order
     for g, a in G.realizations(sigma):

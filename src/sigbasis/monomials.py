@@ -392,11 +392,10 @@ def minimal_common_multiples(m: Monomial, n: Monomial, spec: MonoidSpec):
         raise ContractError("minimal common multiples need nonzero monomials")
     if m.indices != n.indices:
         return ()
-    lcm = tuple(max(x, y) for x, y in zip(m.exps, n.exps))
-    a0 = tuple(x - y for x, y in zip(lcm, m.exps))
+    lcm = tuple(map(max, m.exps, n.exps))
+    a0 = tuple(map(sub, lcm, m.exps))
     if spec.kind == "full":
-        b0 = tuple(x - y for x, y in zip(lcm, n.exps))
-        return ((Monomial(a0), Monomial(b0)),)
+        return ((Monomial(a0), Monomial(tuple(map(sub, lcm, n.exps)))),)
     if spec.kind == "degree_truncated":
         bound = _truncated_search_bound(m, n, a0, spec)
         return tuple(_collect_mcm(m, n, a0, spec, bound - sum(a0)))

@@ -63,12 +63,15 @@ class SigSet:
     certificate has passed; classification requires it.  Each nonzero part
     is kept with its support mask, its leading monomial and its sig/lm ratio
     (``sig_lm_ratio``), so b*sig(g) for b*lm(g) = t has the key r(g) +
-    (key(t) << lift) without being built.  Each signature is kept with its
-    support mask under its position tuple (``sig.indices``): a signature
-    divides only those of its own slot.  ``owned`` holds the critical
-    signatures owned by each member of the prefix whose pairs are searched;
-    only ``critical`` uses it.  ``_lowest`` is ``lowest_divisor``'s memo, and
-    that method alone scans the nonzero parts.
+    (key(t) << lift) without being built.  ``ratios`` is aligned with
+    ``members``: each member's ratio, computed once as it joins, or None for
+    a zero part; the pair search in ``critical`` reads it.  Each signature
+    is kept with its support mask under its position tuple
+    (``sig.indices``): a signature divides only those of its own slot.
+    ``owned`` holds the critical signatures owned by each member of the
+    prefix whose pairs are searched; only ``critical`` uses it.
+    ``_lowest`` is ``lowest_divisor``'s memo, and that method alone scans
+    the nonzero parts.
     """
 
     def __init__(self, ctx: Context, sig_order: ModuleOrder, members=(), origin="adhoc"):
@@ -82,6 +85,7 @@ class SigSet:
         # mask, lm, sig/lm ratio, member) of every nonzero part
         self._sigs: dict[tuple[int, ...], list[tuple[int, SigPair]]] = {}
         self._reducers: list[tuple[int, Monomial, int, SigPair]] = []
+        self.ratios: list[int | None] = []
         self.owned: list[set[Monomial]] = []
         # target key -> (parts scanned, lowest ratio or None, its member)
         self._lowest: dict[int, tuple[int, int | None, SigPair | None]] = {}
@@ -99,11 +103,12 @@ class SigSet:
         self.members.append(sp)
         slot = self._sigs.setdefault(sp.sig.indices, [])
         slot.append((_support_mask(sp.sig.exps), sp))
+        r = None
         if sp.part.terms:
             lm = sp.part.terms[0][1]
-            self._reducers.append(
-                (_support_mask(lm.exps), lm, sig_lm_ratio(sp, self.sig_order), sp)
-            )
+            r = sig_lm_ratio(sp, self.sig_order)
+            self._reducers.append((_support_mask(lm.exps), lm, r, sp))
+        self.ratios.append(r)
 
     def realizations(self, sigma: Monomial, newest_first=True):
         """Yield ``(member, a)`` with ``a * sig(member) == sigma``, newest

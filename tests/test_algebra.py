@@ -357,6 +357,19 @@ class TestModularNormalForm:
         self.assert_same(got, field_loop_normal_form(f, by_lm(reducers)))
         assert got == (elem(gf1_ctx, "1"), 3)
 
+    def test_span_echelon_non_monic_rows(self, gf1_ctx):
+        # rows fed with leading coefficients 3 and 5 reduce f as plain
+        # sub_scaled steps do, each scaled by the row's leading coefficient
+        rows = [elem(gf1_ctx, "3*x^2 + x + 2"), elem(gf1_ctx, "5*x + 1")]
+        f = elem(gf1_ctx, "2*x^2 + 7")
+        field = gf1_ctx.field
+        want = f
+        for row in rows:
+            want = want.sub_scaled(row, field.div(want.lc, row.lc))
+        ech = SpanEchelon()
+        assert [ech.residue_vector(row) for row in rows] == rows
+        assert ech.residue_vector(f) == want and not want.is_zero
+
     def test_cancels_to_zero(self, gf1_ctx):
         # step 1 leaves x^2 cancelled below the new lead x; step 2 cancels
         # the last key, so only zero keys are left to pop

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import elem, mono, multiply
-from sigbasis import critical
+from sigbasis import critical, sigcore
 from sigbasis.algebra import Context, Element, PrimeField, RationalField
 from sigbasis.critical import (
     CriticalQueue,
@@ -264,9 +264,9 @@ class TestOnePairSearch:
         calls = []
         real = critical.critical_pair_signatures
 
-        def counted(f, g, spec, sig_order):
+        def counted(f, g, *args, **kwargs):
             calls.append((f, g))
-            return real(f, g, spec, sig_order)
+            return real(f, g, *args, **kwargs)
 
         monkeypatch.setattr(critical, "critical_pair_signatures", counted)
         _, gens = builtin_problem("katsura4")
@@ -537,3 +537,99 @@ class TestOwnedRecord:
             fresh = SigSet(G.ctx, G.sig_order, G.members[:n])
             assert critical_set(grown) == critical_set(fresh)
             assert len(grown.owned) == n
+
+
+class TestStoredRatios:
+    """`SigSet.add` stores each member's sig/lm ratio once; the pair search
+    passes the stored ratios on and computes none of its own."""
+
+    @pytest.mark.parametrize("sig_order", ["top", "pot"])
+    @pytest.mark.parametrize("case", sorted(_GROWN_CASES))
+    def test_stored_ratios_match_computed(self, case, sig_order):
+        G = _scan_set(case, sig_order)
+        spec, order = G.monoid, G.sig_order
+        parts = [(g, r) for g, r in zip(G.members, G.ratios) if r is not None]
+        owned = 0
+        for f, rf in parts:
+            for g, rg in parts:
+                out = critical_pair_signatures(f, g, spec, order, rf, rg)
+                assert out == critical_pair_signatures(f, g, spec, order)
+                assert out == _two_sided_pair_signatures(f, g, spec, order)
+                owned += bool(out[0])
+        assert owned
+        # the walker hands each pair its own stored ratios, in its order
+        searched = critical._search_new_pairs(SigSet(G.ctx, order, G.members))
+        assert len(searched) == len(parts) * (len(parts) - 1) // 2
+        for g, h, on_g, on_h in searched:
+            assert (on_g, on_h) == _two_sided_pair_signatures(g, h, spec, order)
+
+    @pytest.mark.parametrize("sig_order", ["top", "pot"])
+    @pytest.mark.parametrize("case", sorted(_GROWN_CASES))
+    def test_ratios_aligned_with_members(self, case, sig_order):
+        G = _scan_set(case, sig_order)
+        grown = SigSet(G.ctx, G.sig_order)
+        for g in G.members:
+            grown.add(g)
+            assert len(grown.ratios) == len(grown.members)
+            assert grown.ratios[-1] == (
+                None if g.part.is_zero else sig_lm_ratio(g, G.sig_order)
+            )
+        assert grown.ratios == G.ratios
+        assert None in G.ratios
+
+    @pytest.mark.parametrize(
+        "strategy", [Strategy.f5(), Strategy.f5_pruned(), Strategy.f4(3)],
+        ids=["f5", "f5-pruned", "f4-3"],
+    )
+    def test_run_computes_no_ratio_in_pair_search(self, strategy, monkeypatch):
+        _, gens = builtin_problem("katsura4")
+        prebasis = make_prebasis_shifted(gens, "top")
+        calls = {"sigcore": 0, "critical": 0}
+        for name, module in (("sigcore", sigcore), ("critical", critical)):
+            def counted(g, sig_order, name=name, real=module.sig_lm_ratio):
+                calls[name] += 1
+                return real(g, sig_order)
+
+            monkeypatch.setattr(module, "sig_lm_ratio", counted)
+        res = run(prebasis, strategy)
+        k = sum(not g.part.is_zero for g in res.basis.members)
+        # one ratio per nonzero member as it joins the run's SigSet
+        assert calls == {"sigcore": k, "critical": 0}
+
+
+class TestPruneMasks:
+    """`prune` passes a candidate divisor to `divide` only when its stored
+    support mask lies inside sigma's; it must keep what `divide` alone keeps."""
+
+    @staticmethod
+    def pruned(sigs, sig_order, spec):
+        events = []
+        Q = CriticalQueue(sig_order, spec, pruned_mode=True, trace=events.append)
+        for s in sigs:
+            Q.add(s)
+        Q.prune()
+        kept = _all_pairs_minimal(set(sigs), lambda t, s: divide(t, s, spec) is not None)
+        key = sig_order.key
+        assert Q.snapshot() == sorted(kept, key=key)
+        dropped = [e["signature"] for e in events if e["event"] == "queue_prune"]
+        assert dropped == sorted(set(sigs) - kept, key=key)
+        return Q.snapshot()
+
+    def test_equal_masks_in_other_slots_kept(self, mora_prebasis, mora_ctx):
+        spec, order = mora_ctx.monoid, mora_prebasis.sig_order
+        low, high = mono(mora_ctx, 1, 1, slot=1), mono(mora_ctx, 2, 3, slot=2)
+        assert divides_exponentwise(Monomial(low.exps), Monomial(high.exps))
+        assert self.pruned([low, high], order, spec) == [low, high]
+        # in one slot the same exponents prune
+        same = mono(mora_ctx, 2, 3, slot=1)
+        assert self.pruned([low, high, same], order, spec) == [low, high]
+
+    def test_quotient_outside_the_monoid_kept(self):
+        spec = MonoidSpec.degree_truncated(2)
+        order = ScalarOrder("degrevlex", ("x", "y"))
+        sig_order = ModuleOrder(order, "top", 1)
+        t = Monomial((1, 0)).with_slot(1)
+        sigma = Monomial((2, 0)).with_slot(1)  # sigma / t = x, not in M
+        beyond = Monomial((3, 1)).with_slot(1)  # beyond / t = x^2*y, in M
+        assert divides_exponentwise(t, sigma) and divide(t, sigma, spec) is None
+        assert self.pruned([t, sigma, beyond], sig_order, spec) == [t, sigma]
