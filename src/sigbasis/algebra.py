@@ -17,11 +17,12 @@ order (full reduction); the caller chooses.  Over GF(p) the element is held
 in one accumulator, a dict keyed by order key with a heap of keys, so a
 step touches only the reducer's terms and irreducible terms leave in pop
 order.  Over Q it runs on integers: the unreduced suffix and each reducer
-are cleared of denominators, combined with integer cofactors, and divided
-by their content, while one exact rational scale tracks the factor taken
-out; each irreducible run becomes rational once, with the scale it had.
-That step scales every term of the suffix by a cofactor, so it keeps a
-merge of sorted lists.  An element's cleared row is built the first time a
+are cleared of denominators and combined with integer cofactors, and one
+integer denominator, multiplied by the suffix's cofactor at each step,
+carries the factor taken in; no content is taken between steps, and each
+irreducible run becomes rational once, over the denominator it had.  That
+step scales every term of the suffix by a cofactor, so it keeps a merge of
+sorted lists.  An element's cleared row is built the first time a
 reduction uses it and kept on the element.  Both caches live on the value
 they memoize, so no caller keeps or passes a table.
 
@@ -500,29 +501,20 @@ def _row(e: Element):
         return row
 
 
-def _content(values) -> int:
-    """gcd of the integers, 0 if all are zero; the scan stops once it is 1."""
-    g = 0
-    for x in values:
-        g = gcd(g, x)
-        if g == 1:
-            break
-    return g
-
-
 def _fraction_free_normal_form(f: Element, admit, full) -> tuple[Element, int]:
-    """Reduction over Q on integer rows, one exact scale per run.
+    """Reduction over Q on integer rows, one integer denominator.
 
-    The unreduced suffix of f is kept as scale * F with F integral.  A step
-    at F's term j against the cleared reducer E, shifted by b, replaces F by
-    (lc E / g) * F[j+1:] - (F[j] / g) * b*E[1:], g = gcd of the two
-    coefficients, and divides out the content of the result
-    (integer-preserving elimination: Bareiss 1968; Knuth, TAOCP 4.6.1).
-    F[:j] is irreducible and final: it leaves as one run, made rational with
-    the scale current at that moment, so a later step scales and divides
-    only the suffix.  Each step multiplies every term of the suffix by u, so
-    it touches all of it anyway, and one merge of the sorted lists is the
-    cheapest way through.
+    The unreduced suffix of f is kept as F / den, F integral and den a
+    positive integer.  A step at F's term j against the cleared reducer E,
+    shifted by b, replaces F by u * F[j+1:] - v * b*E[1:] and den by u * den,
+    with u = lc E / g, v = F[j] / g and g the gcd of the two coefficients
+    (fraction-free pseudo-division; Knuth, TAOCP 4.6.1).  No content is
+    taken between steps, so no ``Fraction`` is built there.
+    F[:j] is irreducible and final: it leaves as one run, each term
+    ``Fraction(c, den)`` with the den current at that moment, where the
+    common factors cancel once.  Each step multiplies every term of the
+    suffix by u, so it touches all of it anyway, and one merge of the sorted
+    lists is the cheapest way through.
     """
     first = _first_reducible(f.terms, admit, full)
     if first is None:
@@ -532,13 +524,13 @@ def _fraction_free_normal_form(f: Element, admit, full) -> tuple[Element, int]:
     products = f.ctx.products
     out = list(f.terms[:j])
     F, den = _row(f)
-    scale = Fraction(1, den)
     steps = 0
     while True:
         d, b = _shift(F[j][0], F[j][1], found)
         E = _row(found)[0]
         ce, cf = E[0][2], F[j][2]
-        g = gcd(ce, cf)
+        # g takes lc E's sign, so u and den stay positive
+        g = gcd(ce, cf) if ce > 0 else -gcd(ce, cf)
         u, v = ce // g, cf // g
         # u * F[j:] - v * b * E; the reduced terms cancel and are skipped
         suffix = []
@@ -563,25 +555,16 @@ def _fraction_free_normal_form(f: Element, admit, full) -> tuple[Element, int]:
         steps += 1
         if not suffix:
             return Element(f.ctx, tuple(out)), steps
-        content = _content(c for _, _, c in suffix)
-        if content > 1:
-            suffix = [(k, m, c // content) for k, m, c in suffix]
         F = suffix
-        scale = scale * Fraction(g * content, ce)
+        den *= u
         first = _first_reducible(F, admit, full)
         if first is None:
             break
         j, found = first
         if j:
-            out.extend(_rational(F[:j], scale))
-    out.extend(_rational(F, scale))
+            out.extend([(k, m, Fraction(c, den)) for k, m, c in F[:j]])
+    out.extend([(k, m, Fraction(c, den)) for k, m, c in F])
     return Element(f.ctx, tuple(out)), steps
-
-
-def _rational(terms, scale):
-    """The integer terms times the exact scale, as rational terms."""
-    num, den = scale.numerator, scale.denominator
-    return [(k, m, Fraction(c * num, den)) for k, m, c in terms]
 
 
 class SpanEchelon:

@@ -28,7 +28,6 @@ from .sigcore import (
     SigSet,
     find_regular_reducer,
     regular_normal_form_with_steps,
-    sig_lm_ratio,
     syzygy_signatures,
 )
 from .textio import render_monomial
@@ -159,7 +158,7 @@ def rewrite_basis_at(G: SigSet, sigma: Monomial) -> bool:
     sigma_key = G.sig_order.key(sigma)
     realized = False
     # newest first: the member inserted at sigma, if any, is the likely witness
-    for g, a in G.realizations(sigma):
+    for g, a, _ in G.realizations(sigma):
         realized = True
         if g.part.is_zero:
             return True
@@ -193,7 +192,7 @@ def select_reductant_f5(sigma: Monomial, G: SigSet):
     member's does (the signature is then a recorded syzygy): then the oldest
     such member.  The scan runs oldest first, so it stops there."""
     best = None
-    for g, a in G.realizations(sigma, newest_first=False):
+    for g, a, _ in G.realizations(sigma, newest_first=False):
         if g.part.is_zero:
             return g, a
         best = (g, a)
@@ -207,7 +206,7 @@ def _select_min_lm(sigma: Monomial, G: SigSet):
     ties break toward the smallest id."""
     part_key = G.ctx.order.key
     best = None
-    for g, a in G.realizations(sigma):
+    for g, a, _ in G.realizations(sigma):
         cand = (part_key(g.part.lm.mul(a)), g.id)
         if best is None or cand < best[0]:
             best = (cand, g, a)
@@ -237,16 +236,16 @@ def _koszul_multiple(sigma: Monomial, G: SigSet) -> bool:
     memo) whether its ratio lies below g's.  Every multiple of one is a
     syzygy signature, where the regular normal form is zero once G is
     complete below it.  The syzygy needs every part monomial as a
-    multiplier: full monoid, index-free parts.  g's own ratio is computed
-    here, once per realization: ``realizations`` yields members, not the
-    ratios ``SigSet.ratios`` holds for them.
+    multiplier: full monoid, index-free parts.  g's ratio is the one G
+    stored as g joined, handed out by ``SigSet.realizations``; none is
+    computed here.
     """
-    key, order = G.ctx.order.key, G.sig_order
-    for g, a in G.realizations(sigma):
-        if g.part.is_zero:
+    key = G.ctx.order.key
+    for _, a, rg in G.realizations(sigma):
+        if rg is None:
             continue
         r, h = G.lowest_divisor(a, key(a))
-        if h is not None and r < sig_lm_ratio(g, order):
+        if h is not None and r < rg:
             return True
     return False
 

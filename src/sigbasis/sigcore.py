@@ -66,8 +66,9 @@ class SigSet:
     (key(t) << lift) without being built.  ``ratios`` is aligned with
     ``members``: each member's ratio, computed once as it joins, or None for
     a zero part; the pair search in ``critical`` reads it.  Each signature
-    is kept with its support mask under its position tuple
-    (``sig.indices``): a signature divides only those of its own slot.
+    is kept with its support mask and its member's ratio under its position
+    tuple (``sig.indices``): a signature divides only those of its own slot,
+    and ``realizations`` hands out the stored ratio with each realization.
     ``owned`` holds the critical signatures owned by each member of the
     prefix whose pairs are searched; only ``critical`` uses it.
     ``_lowest`` is ``lowest_divisor``'s memo, and that method alone scans
@@ -81,9 +82,9 @@ class SigSet:
         self.origin = origin
         self.certified = False
         self._ids = set()
-        # signature slot -> (support mask, member) of its signatures; (support
-        # mask, lm, sig/lm ratio, member) of every nonzero part
-        self._sigs: dict[tuple[int, ...], list[tuple[int, SigPair]]] = {}
+        # signature slot -> (support mask, sig/lm ratio or None, member) of its
+        # signatures; (support mask, lm, sig/lm ratio, member) of every nonzero part
+        self._sigs: dict[tuple[int, ...], list[tuple[int, int | None, SigPair]]] = {}
         self._reducers: list[tuple[int, Monomial, int, SigPair]] = []
         self.ratios: list[int | None] = []
         self.owned: list[set[Monomial]] = []
@@ -101,28 +102,29 @@ class SigSet:
             raise StructureError(f"duplicate sigpair id {sp.id}")
         self._ids.add(sp.id)
         self.members.append(sp)
-        slot = self._sigs.setdefault(sp.sig.indices, [])
-        slot.append((_support_mask(sp.sig.exps), sp))
         r = None
         if sp.part.terms:
             lm = sp.part.terms[0][1]
             r = sig_lm_ratio(sp, self.sig_order)
             self._reducers.append((_support_mask(lm.exps), lm, r, sp))
         self.ratios.append(r)
+        slot = self._sigs.setdefault(sp.sig.indices, [])
+        slot.append((_support_mask(sp.sig.exps), r, sp))
 
     def realizations(self, sigma: Monomial, newest_first=True):
-        """Yield ``(member, a)`` with ``a * sig(member) == sigma``, newest
-        first, or oldest first when ``newest_first`` is false; only the
-        members of sigma's slot are tried."""
+        """Yield ``(member, a, r)`` with ``a * sig(member) == sigma``, newest
+        first, or oldest first when ``newest_first`` is false; r is the
+        member's stored ratio (None for a zero part).  Only the members of
+        sigma's slot are tried."""
         spec = self.ctx.monoid
         sigma_mask = _support_mask(sigma.exps)
         slot = self._sigs.get(sigma.indices, ())
-        for mask, g in reversed(slot) if newest_first else slot:
+        for mask, r, g in reversed(slot) if newest_first else slot:
             if mask & ~sigma_mask:
                 continue
             a = divide(g.sig, sigma, spec)
             if a is not None:
-                yield g, a
+                yield g, a, r
 
     def lowest_divisor(self, mono: Monomial, key: int):
         """``(r, member)`` for the nonzero part whose leading monomial divides
@@ -340,7 +342,7 @@ def classify_signature(sigma: Monomial, G: SigSet) -> str:
     if not G.certified:
         raise ContractError("classification is only valid on a certified rewrite basis")
     nonempty = False
-    for g, _ in G.realizations(sigma):
+    for g, _, _ in G.realizations(sigma):
         if g.part.is_zero:
             return "syzygy"
         nonempty = True

@@ -243,12 +243,44 @@ class TestFractionFreeNormalForm:
                          field_loop_normal_form(f, admit))
 
     def test_content_is_stripped_into_the_scale(self, univar_ctx):
-        # the row after one step is 2*x + 4, content 2
+        # one step whose integer row, 2*x + 4, has content 2 that the kernel
+        # never divides out: the exact rational result is pinned all the same
         f = elem(univar_ctx, "x^2 + 2*x + 4")
         reducers = {mono(univar_ctx, 2): elem(univar_ctx, "x^2")}
         got = normal_form_with_steps(f, by_lm(reducers), full=False)
         self.assert_same(got, field_loop_normal_form(f, by_lm(reducers)))
         assert got == (elem(univar_ctx, "2*x + 4"), 1)
+
+    @staticmethod
+    def long_case(ctx, skip):
+        """f = sum of x^n / (n + 1) for n <= 30 and a reducer with leading
+        coefficient +-p_n, the n-th prime, at every x^n with n >= 1 and n not
+        a multiple of ``skip``.  The cleared leading coefficients are pairwise
+        coprime, so no step's cofactor shares a factor with an earlier one."""
+        primes = [q for q in range(2, 200) if all(q % r for r in range(2, q))]
+        x = lambda n: mono(ctx, n)
+        reducers = {}
+        for n in range(1, 31):
+            if skip and n % skip == 0:
+                continue
+            lead = (-1) ** n * primes[n - 1]
+            tail = [(x(n - 1), n + 2), (x(n // 2), -3), (x(0), 1)]
+            reducers[x(n)] = Element.from_terms(ctx, [(x(n), Fraction(lead))] + tail)
+        f = Element.from_terms(ctx, [(x(n), Fraction(1, n + 1)) for n in range(31)])
+        return f, reducers
+
+    def test_long_reduction_with_coprime_leading_coefficients(self, univar_ctx):
+        f, reducers = self.long_case(univar_ctx, skip=0)
+        got = normal_form_with_steps(f, by_lm(reducers), full=False)
+        self.assert_same(got, field_loop_normal_form(f, by_lm(reducers)))
+        assert got[1] >= 20
+
+    def test_long_full_reduction_with_coprime_leading_coefficients(self, univar_ctx):
+        # every fourth power has no reducer, so irreducible runs leave between steps
+        f, reducers = self.long_case(univar_ctx, skip=4)
+        got = normal_form_with_steps(f, by_lm(reducers), full=True)
+        self.assert_same(got, full_field_loop_normal_form(f, by_lm(reducers)))
+        assert got[1] >= 20 and len(got[0].terms) > 2
 
     def test_common_factor_of_leading_coefficients(self, mora_ctx):
         # cleared rows 2*x^2 + y and 2*x^2 + 1: gcd of the leading coefficients is 2

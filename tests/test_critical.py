@@ -6,7 +6,7 @@ import random
 import pytest
 
 from conftest import elem, mono, multiply
-from sigbasis import critical, sigcore
+from sigbasis import critical, engine, sigcore
 from sigbasis.algebra import Context, Element, PrimeField, RationalField
 from sigbasis.critical import (
     CriticalQueue,
@@ -541,7 +541,8 @@ class TestOwnedRecord:
 
 class TestStoredRatios:
     """`SigSet.add` stores each member's sig/lm ratio once; the pair search
-    passes the stored ratios on and computes none of its own."""
+    passes the stored ratios on and computes none of its own, and neither
+    does the engine's Koszul test."""
 
     @pytest.mark.parametrize("sig_order", ["top", "pot"])
     @pytest.mark.parametrize("case", sorted(_GROWN_CASES))
@@ -584,17 +585,21 @@ class TestStoredRatios:
     def test_run_computes_no_ratio_in_pair_search(self, strategy, monkeypatch):
         _, gens = builtin_problem("katsura4")
         prebasis = make_prebasis_shifted(gens, "top")
-        calls = {"sigcore": 0, "critical": 0}
-        for name, module in (("sigcore", sigcore), ("critical", critical)):
-            def counted(g, sig_order, name=name, real=module.sig_lm_ratio):
+        calls = {"sigcore": 0, "critical": 0, "engine": 0}
+        real = sigcore.sig_lm_ratio
+        for name, module in (("sigcore", sigcore), ("critical", critical), ("engine", engine)):
+            def counted(g, sig_order, name=name):
                 calls[name] += 1
                 return real(g, sig_order)
 
-            monkeypatch.setattr(module, "sig_lm_ratio", counted)
+            # the engine's Koszul test reads the stored ratios too, and needs
+            # no binding of its own
+            monkeypatch.setattr(module, "sig_lm_ratio", counted, raising=False)
         res = run(prebasis, strategy)
+        assert res.stats.koszul_zeros > 0
         k = sum(not g.part.is_zero for g in res.basis.members)
         # one ratio per nonzero member as it joins the run's SigSet
-        assert calls == {"sigcore": k, "critical": 0}
+        assert calls == {"sigcore": k, "critical": 0, "engine": 0}
 
 
 class TestPruneMasks:

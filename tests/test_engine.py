@@ -167,7 +167,7 @@ def newest_first_f5(sigma, G):
     """The f5 rule as a newest-first scan that keeps the last zero-part
     realizer it meets, that is the oldest one."""
     best = None
-    for g, a in G.realizations(sigma):
+    for g, a, _ in G.realizations(sigma):
         if best is None or g.part.is_zero:
             best = (g, a)
     return best
@@ -467,7 +467,7 @@ def _koszul_two_loops(sigma, G):
     leading monomial divides the multiplier, comparing lm(h)*sig(g) with
     lm(g)*sig(h) as built monomials."""
     skey, spec = G.sig_order.key, G.monoid
-    for g, a in G.realizations(sigma):
+    for g, a, _ in G.realizations(sigma):
         if g.part.is_zero:
             continue
         for h in G.members:
@@ -506,7 +506,7 @@ class TestKoszulSharedMemo:
                 got = _koszul_multiple(sigma, G)
                 assert got == _koszul_two_loops(sigma, G), (len(G), sigma)
                 answers.add(got)
-                for h, a in itertools.islice(G.realizations(sigma), 1):
+                for h, a, _ in itertools.islice(G.realizations(sigma), 1):
                     targets = [a] if h.part.is_zero else [a, h.part.lm.mul(a)]
                     for t in targets:
                         assert find_regular_reducer(t, sigma, G) is _naive_reducer(t, sigma, G)

@@ -289,7 +289,8 @@ def _sum_basis():
 
 class TestSlotRealizations:
     """``realizations`` scans only the members of sigma's signature slot; it
-    must yield what a divide over every member yields, in both orders."""
+    must yield what a divide over every member yields, in both orders, each
+    with the member's stored sig/lm ratio."""
 
     @pytest.mark.parametrize(
         "build",
@@ -312,9 +313,11 @@ class TestSlotRealizations:
         hits = 0
         for sigma in sigmas:
             for newest_first in (True, False):
-                members = reversed(G.members) if newest_first else G.members
+                members = zip(G.members, G.ratios)
+                if newest_first:
+                    members = reversed(list(members))
                 expected = [
-                    (g, a) for g in members
+                    (g, a, r) for g, r in members
                     if (a := divide(g.sig, sigma, spec)) is not None
                 ]
                 assert list(G.realizations(sigma, newest_first=newest_first)) == expected
