@@ -347,8 +347,18 @@ def _load_problem(args) -> ProblemSpec:
             tuple(render_element(g) for g in gens),
         )
     elif args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            spec = parse_problem(fh.read(), field)
+        with open(args.file, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_start = data.rfind(b"\n", 0, exc.start) + 1
+            raise ParseError(
+                f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
+                data.count(b"\n", 0, exc.start) + 1,
+                exc.start - line_start + 1,
+            ) from None
+        spec = parse_problem(text, field)
     else:
         raise ParseError("no input: give a problem file or --builtin NAME")
     overrides = {}

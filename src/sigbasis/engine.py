@@ -2,9 +2,9 @@
 
 One loop body realizes every strategy.  Each iteration pops the strategy's
 batch of the smallest pending signatures, selects a reductant for each per
-its selector and skips those with nothing to reduce, regular-reduces the
-rest in ascending order against the basis and the batch's earlier results,
-and inserts them with provenance recorded in a forest of reduction ancestry
+its selector and skips those with nothing to reduce, then regular-reduces
+the rest in ascending order against the basis, which each row joins as soon
+as it is reduced, with provenance recorded in a forest of reduction ancestry
 (the sigtree).  Termination rests on the well-formedness of that forest; the
 invariant can be asserted at loop heads in debug runs.  In a ring with the
 full monoid, a picked signature divisible by the leading signature of a
@@ -361,10 +361,9 @@ def run(
                           "multiplier": a, "lm": lm})
                 continue
             picked.append((sigma, g, a))
-        fresh = []
         for sigma, g, a in picked:  # ascending signature order
-            # ids follow tree size so that batched insertions stay sequential
-            # even before their sigpairs join G
+            # each row joins G as it is reduced, so the node index is the
+            # next sigpair id and the later rows of the batch reduce by it
             node = len(tree.nodes)
             if koszul and _koszul_multiple(sigma, G):
                 g_new, steps = SigPair(Element.zero(ctx), sigma, node), 0
@@ -373,7 +372,7 @@ def run(
                 # the reductant is built only for a signature that is reduced
                 f = SigPair(g.part.mul_monomial(a), sigma, node)
                 try:
-                    g_new, steps = regular_normal_form_with_steps(f, G, fresh, deadline)
+                    g_new, steps = regular_normal_form_with_steps(f, G, deadline)
                 except LimitExceeded as exc:
                     raise LimitExceeded(f"{exc} in a reduction", partial=partial()) from None
             stats.reduction_steps += steps
@@ -401,9 +400,8 @@ def run(
                     }
                 )
             tree.add_node(g_new, parent=g.id, rank=stats.iterations, edge=a)
-            fresh.append(g_new)
-        for g_new in fresh:
             G.add(g_new)
+        if picked:
             queue_update(Q, G)
         stats.peak_queue = max(stats.peak_queue, len(Q))
 

@@ -302,13 +302,12 @@ class MonoidSpec:
         return d == 0 or (d >= self.min_degree and exps not in self.exclusions)
 
     def elements_up_to(self, width: int, max_degree: int):
-        """All members of total degree <= max_degree, ascending by degree."""
-        out = []
+        """Yield the members of total degree <= max_degree, ascending by
+        degree; nothing is listed ahead, so a caller may stop early."""
         for k in range(max_degree + 1):
             for v in _vectors_of_degree(width, k):
                 if self.member(v):
-                    out.append(v)
-        return out
+                    yield v
 
 
 def _vectors_of_degree(width: int, degree: int):

@@ -244,7 +244,7 @@ def _support_mask(exps) -> int:
     return mask
 
 
-def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, fresh=(),
+def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet,
                          _sigma_key=None, _target_key=None):
     """Smallest-signature reducer admissible strictly below ``sigma``.
 
@@ -254,50 +254,35 @@ def find_regular_reducer(target_lm: Monomial, sigma: Monomial, G: SigSet, fresh=
     break toward the smallest provenance id.  G's lowest divisor of the
     target (``SigSet.lowest_divisor``) is the answer when its shifted
     signature key, r + (key(target) << lift), lies below ``sigma``'s.
-
-    ``fresh`` holds sigpairs not in G whose ids exceed every member's (a
-    batch's earlier results).  One is admitted only unshifted: its part's
-    leading monomial must equal ``target_lm``.  ``_sigma_key`` and
-    ``_target_key``, when given, are the order keys of ``sigma`` and
-    ``target_lm``, which a reduction already holds.
+    ``_sigma_key`` and ``_target_key``, when given, are the order keys of
+    ``sigma`` and ``target_lm``, which a reduction already holds.
     """
     if target_lm.is_zero:
         raise ContractError("no reducer for the zero monomial")
-    skey = G.sig_order.key
     target_key = _target_key if _target_key is not None else G.ctx.order.key(target_lm)
-    sigma_key = _sigma_key if _sigma_key is not None else skey(sigma)
+    sigma_key = _sigma_key if _sigma_key is not None else G.sig_order.key(sigma)
     r, best = G.lowest_divisor(target_lm, target_key)
-    best_key = sigma_key if best is None else r + (target_key << G.sig_order.lift)
-    if best_key >= sigma_key:
-        best_key, best = sigma_key, None
-    # a fresh id exceeds the best's, so on the (key, id) order only a
-    # strictly smaller key wins
-    for h in fresh:
-        terms = h.part.terms
-        if terms and terms[0][0] == target_key:
-            k = skey(h.sig)
-            if k < best_key:
-                best_key, best = k, h
+    if best is None or r + (target_key << G.sig_order.lift) >= sigma_key:
+        return None
     return best
 
 
-def regular_normal_form_with_steps(f: SigPair, G: SigSet, fresh=(), deadline=None):
+def regular_normal_form_with_steps(f: SigPair, G: SigSet, deadline=None):
     """Fully reduce the part at fixed signature: every term, the leading one
     first, until no admissible reducer remains for any of them.
 
     Each term t is reduced by the part of ``find_regular_reducer``'s winner
     at t, so each step subtracts a multiple of signature strictly below
-    ``f.sig`` and the signature stays.  ``fresh`` (the batch's earlier
-    results, not yet in G) are among the candidates.  ``deadline`` is a
-    ``time.monotonic()`` value, ``None`` for no time cap; past it, the next
-    lookup raises ``LimitExceeded``.
+    ``f.sig`` and the signature stays.  ``deadline`` is a ``time.monotonic()``
+    value, ``None`` for no time cap; past it, the next lookup raises
+    ``LimitExceeded``.
     """
     sigma_key = G.sig_order.key(f.sig)
 
     def admit(k, mono):
         if deadline is not None:  # an uncapped run makes no call per lookup
             check_deadline(deadline)
-        found = find_regular_reducer(mono, f.sig, G, fresh, sigma_key, k)
+        found = find_regular_reducer(mono, f.sig, G, sigma_key, k)
         return None if found is None else found.part
 
     part, steps = normal_form_with_steps(f.part, admit, full=True)

@@ -346,7 +346,8 @@ def bounded_signature_basis_check(
     that no admissible product reaches is a violation.  The slices only grow
     with sigma, so one ``SpanEchelon`` takes the products in signature order
     and the unreached pivots are kept as the walk goes.  More than
-    ``_MAX_SLICE_SIGNATURES`` reachable signatures raise ``ContractError``.
+    ``_MAX_SLICE_SIGNATURES`` reachable signatures raise ``ContractError`` as
+    soon as the enumeration finds one too many.
     """
     top = max((g.part.degree for g in G.members if not g.part.is_zero), default=0)
     if D < top:
@@ -357,17 +358,20 @@ def bounded_signature_basis_check(
     for g in G.members:
         budget = D - g.sig.degree
         for a in spec.elements_up_to(len(g.sig.exps), max(budget, 0)):
+            check_deadline(deadline, " during verification")
             s = g.sig.mul(Monomial(a))
             sigmas[s] = skey(s)
-    if len(sigmas) > _MAX_SLICE_SIGNATURES:
-        raise ContractError(
-            f"{len(sigmas)} signatures exceed the cap {_MAX_SLICE_SIGNATURES}"
-        )
+            if len(sigmas) > _MAX_SLICE_SIGNATURES:
+                raise ContractError(
+                    f"the signatures up to degree {D} exceed the cap "
+                    f"{_MAX_SLICE_SIGNATURES}"
+                )
     products = []
     for g in G.members:
         if g.part.is_zero:
             continue
         for a in spec.elements_up_to(len(g.sig.exps), D - g.part.degree):
+            check_deadline(deadline, " during verification")
             am = Monomial(a)
             products.append((skey(g.sig.mul(am)), g.part, am))
     products.sort(key=lambda p: p[0])
@@ -413,6 +417,7 @@ def bounded_syzygy_check(
     for i, g in enumerate(gens, start=1):
         budget = D - g.lm.degree
         for a in spec.elements_up_to(ctx.width, max(budget, 0)):
+            check_deadline(deadline, " during verification")
             am = Monomial(a)
             shifted = g.lm.mul(am).with_slot(i)
             entries.append((skey(shifted), shifted, am, g))

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -355,6 +356,13 @@ class TestMainExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "zero denominator" in err and "Traceback" not in err
 
+    def test_invalid_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bytes.sys"
+        path.write_bytes(b"vars: y x\ngens:\nx - 1\ny\xff + 1\n")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 4, col 2: invalid UTF-8 byte 0xff\n"
+
     @pytest.mark.parametrize(
         "header",
         [
@@ -451,6 +459,19 @@ class TestMainExitCodes:
         assert "verify:" not in captured.out
         assert captured.err.startswith("error: degree bound 1 below max part degree")
         assert captured.err.count("\n") == 1
+
+    def test_verify_deep_signature_cap_refused_early(self, tmp_path, capsys):
+        # degree 3000 reaches about 4.5 million signatures of x^2 in two
+        # variables: the check refuses once the count passes the cap, without
+        # listing them all
+        path = tmp_path / "one.sys"
+        path.write_text("vars: x y\ngens:\nx^2 + y\n")
+        start = time.monotonic()
+        code = main(["run", str(path), "--verify-deep", "3000", "--max-seconds", "1"])
+        assert time.monotonic() - start < 2
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: the signatures up to degree 3000 exceed the cap 4000\n"
 
 
 PERFBENCH_INPUTS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
@@ -603,3 +624,26 @@ class TestEmitters:
             main(["run", "--builtin", "katsura4", "--field", "gf:32003",
                   "--strategy", "f5", "--verify"]) == 0
         )
+
+
+class TestKnownRestrictedMonoidWrongAnswers:
+    """Restricted-monoid runs that certify a basis whose leading monomials
+    differ from the oracle's, so ``--verify`` exits 2.  Each case asserts the
+    right answer, exit 0, and is marked strict: the fix must flip them."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="certified wrong answer in degmin=2")
+    @pytest.mark.parametrize("strategy", ["in-order", "min-lm", "f5", "f5-pruned", "f4"])
+    def test_mora_degmin2_gf(self, strategy):
+        path = PERFBENCH_INPUTS / "mora-degmin2-gf.sys"
+        assert main(["run", str(path), "--strategy", strategy, "--verify"]) == 0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="certified wrong answer in degmin=2")
+    def test_two_generators_degmin2_gf(self, tmp_path):
+        path = tmp_path / "two.sys"
+        path.write_text(
+            "vars: y x\nfield: GF 32003\nsetting: monoid degmin=2\n"
+            "gens:\nx^2*y^2 - 1\ny^5 - x^2*y\n"
+        )
+        assert main(["run", str(path), "--verify"]) == 0

@@ -225,15 +225,14 @@ class TestRegularReduction:
         assert via_g4.part == via_g2.part == elem(mora_ctx, "y^4 - x^2")
 
 
-def _naive_reducer(target_lm, sigma, G, fresh=()):
-    """Reference scan for find_regular_reducer: divide against every member,
-    and admit a fresh sigpair only when its part's leading monomial is the
-    target itself; returns the winning member or None."""
+def _naive_reducer(target_lm, sigma, G):
+    """Reference scan for find_regular_reducer: divide against every member;
+    returns the winning member or None."""
     spec, skey = G.monoid, G.sig_order.key
     best = None
     candidates = [
         (g, divide(g.part.lm, target_lm, spec)) for g in G.members if not g.part.is_zero
-    ] + [(h, G.ctx.identity_monomial()) for h in fresh if h.part.lm == target_lm]
+    ]
     for g, b in candidates:
         if b is None:
             continue
@@ -330,23 +329,15 @@ class TestSlotRealizations:
 class TestMaskedReducerLookup:
     """find_regular_reducer skips members by support mask and keeps each
     target's lowest divisor in a memo; it must choose exactly what a plain
-    divide over every member chooses, also when the newer members are
-    handed over as ``fresh`` rows of a batch."""
+    divide over every member chooses."""
 
     @_BUILDS
     def test_matches_naive_scan(self, build):
         G = build()
         parts = [g for g in G.members if not g.part.is_zero]
         width = G.ctx.width
-        # the newer half of the nonzero parts goes in as fresh rows, with a
-        # last row that repeats the newest part at a larger signature
-        cut = G.members.index(parts[len(parts) // 2])
-        prefix = SigSet(G.ctx, G.sig_order, G.members[:cut])
-        x = Monomial((1,) + (0,) * (width - 1))
-        twin = SigPair(parts[-1].part, parts[-1].sig.mul(x), G.members[-1].id + 1)
-        fresh = G.members[cut:] + [twin]
         rng = random.Random(2012)
-        hits = fresh_hits = 0
+        hits = 0
         for _ in range(400):
             lm = rng.choice(parts).part.lm
             if rng.random() < 0.5:
@@ -358,13 +349,7 @@ class TestMaskedReducerLookup:
             expected = _naive_reducer(target, sigma, G)
             assert find_regular_reducer(target, sigma, G) == expected
             hits += expected is not None
-            # a fresh row only reduces its own leading monomial
-            for t in (target, lm):
-                expected = _naive_reducer(t, sigma, prefix, fresh)
-                assert find_regular_reducer(t, sigma, prefix, fresh) == expected
-                fresh_hits += expected is not None and expected.id >= fresh[0].id
         assert 0 < hits < 400
-        assert fresh_hits > 0
 
     @_BUILDS
     def test_memo_exact_as_basis_grows(self, build):

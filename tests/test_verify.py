@@ -488,8 +488,15 @@ class TestBoundedSignatureBasisCheck:
     def test_signature_cap_guard(self, mora_gens):
         # the three mora signatures reach 4,845 signatures up to degree 60
         G = make_prebasis_shifted(mora_gens, "top")
-        with pytest.raises(ContractError, match="4845 signatures exceed the cap 4000"):
+        with pytest.raises(ContractError, match="up to degree 60 exceed the cap 4000"):
             bounded_signature_basis_check(G, 60)
+
+    def test_enumeration_checks_the_deadline(self, mora_gens):
+        # past the deadline, the walk over the signatures stops before it
+        # could count past the cap
+        G = make_prebasis_shifted(mora_gens, "top")
+        with pytest.raises(LimitExceeded):
+            bounded_signature_basis_check(G, 60, deadline=0.0)
 
 
     def test_expired_deadline_raises(self, mora_run):
